@@ -169,13 +169,19 @@ def render_csv(report: Report) -> str:
 RENDERERS = {"text": render_text, "json": render_json, "csv": render_csv}
 
 
+def _twist_range(n_min: int, n_max: int) -> range:
+    if n_min > n_max:
+        raise ValueError(f"empty twist range {n_min}..{n_max}")
+    return range(n_min, n_max + 1)
+
+
 def _cmd_surface(args) -> tuple[Report, int]:
     surface = hypersurface(args.delta)
     result = {"h_square": surface.h_square, "k": surface.k, "chi0": surface.chi0}
     if args.c2 is not None:
         result["expected_dim"] = expected_dim(surface, args.c2)
     rows = []
-    for n in range(args.n_min, args.n_max + 1):
+    for n in _twist_range(args.n_min, args.n_max):
         row = {"n": n, "chi_OX": chi_OX(surface, n)}
         if args.c2 is not None:
             row["chi_E"] = chi_E(surface, args.c2, n)
@@ -190,7 +196,7 @@ def _cmd_curve(args) -> tuple[Report, int]:
     inv = curve_invariants(curve)
     n_max = args.n_max if args.n_max is not None else 3 * curve.s
     rows = []
-    for n in range(args.n_min, n_max + 1):
+    for n in _twist_range(args.n_min, n_max):
         rows.append(
             {
                 "n": n,
@@ -463,7 +469,11 @@ def run(argv=None) -> int:
     rendered = RENDERERS[args.format](report)
     sys.stdout.write(rendered)
     if args.output is not None:
-        args.output.write_text(rendered, encoding="utf-8")
+        try:
+            args.output.write_text(rendered, encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_USAGE
     return code
 
 

@@ -224,139 +224,119 @@ class OptimalParameters:
     c2_min: int
 
 
+def _c2_min(delta: int) -> Fraction:
+    """Certified minimum c2 in closed form.
+
+    delta^2 (delta - 2) / 4 for even delta, delta (delta - 1)(delta - 3) / 4 for odd.
+    """
+    if delta % 2 == 0:
+        return Fraction(delta * delta * (delta - 2), 4)
+    return Fraction(delta * (delta - 1) * (delta - 3), 4)
+
+
 def optimal_parameters(delta: int) -> OptimalParameters:
     """The parameter choice that reaches the smallest certified c2.
 
     s = delta - 2 for even delta, delta - 3 for odd delta, sigma = s/2; then
-    c2 = delta * sigma * (sigma + 1), which is delta^2(delta-2)/4 for even and
-    delta(delta-1)(delta-3)/4 for odd delta.  Both closed forms and the
-    goodness of the certificate are asserted.
+    c2 = delta * sigma * (sigma + 1).  Agreement with the parity-split closed
+    form and the goodness of the certificate are checked; a failure raises
+    RuntimeError.
     """
     if delta < 4:
         raise ValueError(f"hypersurface degree must be >= 4, got {delta}")
     s = delta - 2 if delta % 2 == 0 else delta - 3
     sigma = s // 2
     c2_min = delta * sigma * (sigma + 1)
-    if delta % 2 == 0:
-        assert 4 * c2_min == delta * delta * (delta - 2), delta
-    else:
-        assert 4 * c2_min == delta * (delta - 1) * (delta - 3), delta
+    if c2_min != _c2_min(delta):
+        raise RuntimeError(f"c2_min {c2_min} at delta={delta} differs from its closed form")
     cert = certificate(delta, s, sigma)
-    assert cert.good and cert.c2 == c2_min, (delta, cert)
+    if not (cert.good and cert.c2 == c2_min):
+        raise RuntimeError(f"optimal parameters not certified at delta={delta}: {cert}")
     return OptimalParameters(s=s, sigma=sigma, c2_min=c2_min)
 
 
-def good_tail_interval(delta: int) -> ComponentInterval:
-    """[c2_min, infinity): every integer c2 here carries a good component.
-
-    The unbounded tail encodes the propagation step from c2 to c2 + 1; only
-    the resulting range is modeled, not the deformation argument behind it.
-    """
-    params = optimal_parameters(delta)
-    return ComponentInterval(
-        label=IntervalLabel.GOOD_TAIL,
-        lower=Fraction(params.c2_min),
-        upper=None,
-        lower_closed=True,
-        upper_closed=False,
-    )
+def _twisted_general_position_upper(delta: int) -> Fraction:
+    return Fraction(delta**3 - 9 * delta**2 + 26 * delta - 3, 3)
 
 
-def ogrady_interval(delta: int) -> ComponentInterval:
-    """Open interval where points in general position give an oversized component.
-
-    (delta^3 - 7*delta)/6 < c2 < (delta^3 - 9*delta^2 + 26*delta - 3)/3.
-    The construction is only available for delta >= 14, recorded in ``valid``.
-    """
-    if delta < 4:
-        raise ValueError(f"hypersurface degree must be >= 4, got {delta}")
-    return ComponentInterval(
-        label=IntervalLabel.OGRADY,
-        lower=Fraction(delta**3 - 7 * delta, 6),
-        upper=Fraction(delta**3 - 9 * delta**2 + 26 * delta - 3, 3),
-        lower_closed=False,
-        upper_closed=False,
-        valid=delta >= 14,
-    )
-
-
-def two_component_interval(delta: int) -> ComponentInterval:
-    """c2 range with one good component and one of strictly larger dimension.
-
-    Lower endpoint is the certified c2_min (parity-dependent quartic/4), upper
-    endpoint the same cubic/3 as the general-position interval.
-    """
-    if delta < 4:
-        raise ValueError(f"hypersurface degree must be >= 4, got {delta}")
-    if delta % 2 == 0:
-        lower = Fraction(delta**3 - 2 * delta**2, 4)
-    else:
-        lower = Fraction(delta**3 - 4 * delta**2 + 3 * delta, 4)
-    return ComponentInterval(
-        label=IntervalLabel.TWO_COMPONENT,
-        lower=lower,
-        upper=Fraction(delta**3 - 9 * delta**2 + 26 * delta - 3, 3),
-        lower_closed=True,
-        upper_closed=False,
-    )
-
-
-def semistable_interval(delta: int) -> ComponentInterval:
-    """Two-component range whose larger component is only known semistable.
-
-    Same lower endpoint as the two-component interval; the upper endpoint
-    (delta^3 - 6*delta^2 + 11*delta - 3)/3 comes from the untwisted variant of
-    the general-position construction.  ``stable_unknown`` stays True: the
-    larger component contains semistable bundles, stability is open.
-    """
-    if delta < 4:
-        raise ValueError(f"hypersurface degree must be >= 4, got {delta}")
-    if delta % 2 == 0:
-        lower = Fraction(delta**3 - 2 * delta**2, 4)
-    else:
-        lower = Fraction(delta**3 - 4 * delta**2 + 3 * delta, 4)
-    return ComponentInterval(
-        label=IntervalLabel.SEMISTABLE_TWO_COMPONENT,
-        lower=lower,
-        upper=Fraction(delta**3 - 6 * delta**2 + 11 * delta - 3, 3),
-        lower_closed=True,
-        upper_closed=False,
-        stable_unknown=True,
-    )
-
-
-def odd_c1_interval(delta: int) -> ComponentInterval:
-    """Two-component range for odd first Chern class (c1 = 1).
-
-    Only the interval arithmetic is modeled for this variant; the certificate
-    machinery is not extended to c1 = 1.
-    """
-    if delta < 4:
-        raise ValueError(f"hypersurface degree must be >= 4, got {delta}")
-    if delta % 2 == 0:
-        lower = Fraction(delta * (delta - 2) ** 2, 4)
-    else:
-        lower = Fraction(delta * (delta - 1) ** 2, 4)
-    return ComponentInterval(
-        label=IntervalLabel.ODD_C1_TWO_COMPONENT,
-        lower=lower,
-        upper=Fraction(2 * delta**3 - 15 * delta**2 + 37 * delta - 6, 6),
-        lower_closed=True,
-        upper_closed=False,
-    )
-
-
-_INTERVAL_BUILDERS = {
-    IntervalLabel.GOOD_TAIL: good_tail_interval,
-    IntervalLabel.OGRADY: ogrady_interval,
-    IntervalLabel.TWO_COMPONENT: two_component_interval,
-    IntervalLabel.SEMISTABLE_TWO_COMPONENT: semistable_interval,
-    IntervalLabel.ODD_C1_TWO_COMPONENT: odd_c1_interval,
+# label: (lower(delta), upper(delta) or None when unbounded above,
+#         lower_closed, upper_closed, stable_unknown, least delta with ``valid``)
+_CATALOG = {
+    # [c2_min, infinity): every integer c2 carries a good component.  The tail
+    # encodes the propagation step from c2 to c2 + 1; only the resulting range
+    # is modeled, not the deformation argument behind it.
+    IntervalLabel.GOOD_TAIL: (
+        lambda delta: Fraction(optimal_parameters(delta).c2_min),
+        None,
+        True, False, False, 4,
+    ),
+    # Points in general position give an oversized component; the construction
+    # needs delta >= 14.
+    IntervalLabel.OGRADY: (
+        lambda delta: Fraction(delta**3 - 7 * delta, 6),
+        _twisted_general_position_upper,
+        False, False, False, 14,
+    ),
+    # One good component and one of strictly larger dimension.
+    IntervalLabel.TWO_COMPONENT: (
+        _c2_min,
+        _twisted_general_position_upper,
+        True, False, False, 4,
+    ),
+    # Upper endpoint from the untwisted general-position construction.  The
+    # larger component contains semistable bundles; whether it contains stable
+    # ones is open.
+    IntervalLabel.SEMISTABLE_TWO_COMPONENT: (
+        _c2_min,
+        lambda delta: Fraction(delta**3 - 6 * delta**2 + 11 * delta - 3, 3),
+        True, False, True, 4,
+    ),
+    # Odd first Chern class (c1 = 1): only the interval arithmetic is modeled,
+    # the certificate machinery is not extended to c1 = 1.
+    IntervalLabel.ODD_C1_TWO_COMPONENT: (
+        lambda delta: Fraction(delta * (delta - 2 if delta % 2 == 0 else delta - 1) ** 2, 4),
+        lambda delta: Fraction(2 * delta**3 - 15 * delta**2 + 37 * delta - 6, 6),
+        True, False, False, 4,
+    ),
 }
 
 
 def interval_for(label: IntervalLabel | str, delta: int) -> ComponentInterval:
-    return _INTERVAL_BUILDERS[IntervalLabel(label)](delta)
+    """The catalog interval ``label`` at hypersurface degree ``delta``."""
+    label = IntervalLabel(label)
+    if delta < 4:
+        raise ValueError(f"hypersurface degree must be >= 4, got {delta}")
+    lower, upper, lower_closed, upper_closed, stable_unknown, least_delta = _CATALOG[label]
+    return ComponentInterval(
+        label=label,
+        lower=lower(delta),
+        upper=None if upper is None else upper(delta),
+        lower_closed=lower_closed,
+        upper_closed=upper_closed,
+        stable_unknown=stable_unknown,
+        valid=delta >= least_delta,
+    )
+
+
+# One name per catalog entry, for callers that want a builder by name.
+def good_tail_interval(delta: int) -> ComponentInterval:
+    return interval_for(IntervalLabel.GOOD_TAIL, delta)
+
+
+def ogrady_interval(delta: int) -> ComponentInterval:
+    return interval_for(IntervalLabel.OGRADY, delta)
+
+
+def two_component_interval(delta: int) -> ComponentInterval:
+    return interval_for(IntervalLabel.TWO_COMPONENT, delta)
+
+
+def semistable_interval(delta: int) -> ComponentInterval:
+    return interval_for(IntervalLabel.SEMISTABLE_TWO_COMPONENT, delta)
+
+
+def odd_c1_interval(delta: int) -> ComponentInterval:
+    return interval_for(IntervalLabel.ODD_C1_TWO_COMPONENT, delta)
 
 
 def min_delta_nonempty(

@@ -164,3 +164,28 @@ def test_output_file_matches_stdout(capsys, tmp_path):
     code, out, _ = run_cli(capsys, argv)
     assert code == 0
     assert target.read_text(encoding="utf-8") == out
+
+
+def test_unwritable_output_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "x"
+    code, _, err = run_cli(capsys, ["intervals", "--delta", "9", "--output", str(target)])
+    assert code == 2
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert err.count("\n") == 1
+    assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["surface", "--delta", "4"],
+        ["curve", "--s", "3"],
+        ["natural", "--delta", "4", "--c2", "41"],
+    ],
+    ids=lambda a: a[0],
+)
+def test_empty_twist_range_exits_3(capsys, argv):
+    code, out, err = run_cli(capsys, argv + ["--n-min", "3", "--n-max", "1"])
+    assert code == 3
+    assert out == ""
+    assert err == "error: empty twist range 3..1\n"

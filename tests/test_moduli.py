@@ -1,11 +1,13 @@
 """Construction certificates, interval catalog and parity thresholds."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from moduli_numerics import moduli
 from moduli_numerics.curves import determinantal_curve
 from moduli_numerics.moduli import (
     ComponentInterval,
@@ -98,6 +100,15 @@ def test_c2_min_closed_forms_to_100():
             assert 4 * c2 == delta * delta * (delta - 2)
         else:
             assert 4 * c2 == delta * (delta - 1) * (delta - 3)
+
+
+def test_optimal_parameters_rejects_uncertified_choice(monkeypatch):
+    real = moduli.certificate
+    monkeypatch.setattr(
+        moduli, "certificate", lambda *args: dataclasses.replace(real(*args), good=False)
+    )
+    with pytest.raises(RuntimeError, match="not certified at delta=6"):
+        optimal_parameters(6)
 
 
 def test_ogrady_interval_at_14():
