@@ -6,7 +6,7 @@ serialized as decimal strings (c2 formulas are cubic in delta and overflow
 64-bit consumers), rationals as "num/den", and unbounded quantities as null.
 
 Exit codes: 0 success, 2 usage error, 3 precondition failure, 4 oracle
-mismatch.
+mismatch, 5 internal error (a library self-check failed).
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 EXIT_ORACLE_MISMATCH = 4
+EXIT_INTERNAL = 5
 
 
 class _UsageError(Exception):
@@ -466,6 +467,9 @@ def run(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     rendered = RENDERERS[args.format](report)
     sys.stdout.write(rendered)
     if args.output is not None:

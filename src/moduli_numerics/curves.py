@@ -57,7 +57,7 @@ def determinantal_curve(s: int) -> DeterminantalCurve:
     """Build the determinantal curve with parameter s >= 1.
 
     Degree and genus are derived from the Hilbert polynomial of the
-    resolution; the degree is cross-asserted against the closed form
+    resolution; the degree is cross-checked against the closed form
     s(s+1)/2 for the locus of maximal minors.
     """
     if s < 1:
@@ -72,7 +72,8 @@ def determinantal_curve(s: int) -> DeterminantalCurve:
     # chi(O_C(n)) = degree * n + 1 - genus, so two values pin both constants.
     degree = chi_structure(1) - chi_structure(0)
     genus = 1 - chi_structure(0)
-    assert degree == s * (s + 1) // 2, (s, degree)
+    if degree != s * (s + 1) // 2:
+        raise RuntimeError(f"degree {degree} at s={s} differs from its closed form s(s+1)/2")
     return DeterminantalCurve(
         s=s, degree=degree, genus=genus, syzygies=syzygies, generators=generators
     )
@@ -96,7 +97,8 @@ def h_ideal(curve: DeterminantalCurve, i: int, n: int) -> int:
     """
     if i == 0:
         value = h_free_sum(0, curve.generators, n) - h_free_sum(0, curve.syzygies, n)
-        assert value >= 0, (curve.s, n, value)
+        if value < 0:
+            raise RuntimeError(f"negative h^0(J({n})) = {value} for s={curve.s}")
         return value
     if i == 1:
         return 0
@@ -117,20 +119,27 @@ def h_curve_structure(curve: DeterminantalCurve, i: int, n: int) -> int:
         raise ValueError(f"curve cohomology index must be 0 or 1, got {i}")
     h0_ideal_n = h_free_sum(0, curve.generators, n) - h_free_sum(0, curve.syzygies, n)
     h0 = h_line(0, n) - h0_ideal_n
-    assert h0 >= 0, (curve.s, n, h0)
+    if h0 < 0:
+        raise RuntimeError(f"negative h^0(O_C({n})) = {h0} for s={curve.s}")
     if i == 0:
         return h0
     h1 = h0 - (curve.degree * n + 1 - curve.genus)
-    assert h1 >= 0, (curve.s, n, h1)
+    if h1 < 0:
+        raise RuntimeError(f"negative h^1(O_C({n})) = {h1} for s={curve.s}")
     return h1
 
 
 def curve_invariants(curve: DeterminantalCurve) -> CurveInvariants:
     """Scan the cohomology tables for the least-twist invariants.
 
-    s_of_c scans h^0(J(n)) upward from 0; e_of_c scans h^1(O_C(n)) downward
-    from max(2g, s), above which h^1 vanishes since the bundle degree exceeds
-    2g - 2.  t_of_c is reported as infinity after sweeping h^1(J(n)) = 0.
+    s_of_c scans h^0(J(n)) upward from 0.  e_of_c scans h^1(O_C(n)) downward
+    from s - 2, where the resolution proves it vanishes: h^1(O_C(n)) =
+    h^2(J(n)) because O(n) has no h^1 or h^2, and the long exact sequence of
+    0 -> O(-s-1)^s -> O(-s)^(s+1) -> J -> 0 injects h^2(J(n)) into
+    h^3(O(n-s-1))^s, which is zero once n-s-1 >= -3.  The start is checked,
+    so a wrong bound raises instead of being returned as e_of_c, and the scan
+    takes a constant number of steps at every s.
+    t_of_c is reported as infinity after sweeping h^1(J(n)) = 0.
     The conormal and squared-ideal vanishing ranges are the established ones
     for the determinantal family: twists below s and below 2s respectively.
     """
@@ -140,7 +149,12 @@ def curve_invariants(curve: DeterminantalCurve) -> CurveInvariants:
         if s_scan > 4 * curve.s + 8:
             raise RuntimeError(f"h^0(J(n)) stayed zero far past expectation for s={curve.s}")
 
-    e_scan = max(2 * curve.genus, curve.s)
+    e_scan = curve.s - 2
+    if h_curve_structure(curve, 1, e_scan) != 0:
+        raise RuntimeError(
+            f"h^1(O_C({e_scan})) != 0 for s={curve.s}, against the resolution's vanishing"
+        )
+    e_scan -= 1
     while h_curve_structure(curve, 1, e_scan) == 0:
         e_scan -= 1
         if e_scan < -(curve.genus + 6):

@@ -41,16 +41,18 @@ def natural_cohomology_threshold(delta: int) -> Fraction:
     For even delta this is exactly 2*chi(O_X(3*delta/2 - 3)); for odd delta it
     is the value of the same polynomial at the non-integral point, still an
     upper bound for gamma because the polynomial increases beyond k/2.  Both
-    facts are asserted.
+    facts are checked, and a failed check raises RuntimeError.
     """
     if delta < 4:
         raise ValueError(f"hypersurface degree must be >= 4, got {delta}")
     value = Fraction(13 * delta**3 - 24 * delta**2 + 8 * delta, 12)
     surface = hypersurface(delta)
-    assert value == 2 * chi_OX_poly(surface, Fraction(3 * delta - 6, 2)), delta
-    if delta % 2 == 0:
-        assert value == 2 * chi_OX(surface, 3 * delta // 2 - 3), delta
-    assert gamma(surface, beta_for_hypersurface(delta)) <= value, delta
+    if value != 2 * chi_OX_poly(surface, Fraction(3 * delta - 6, 2)):
+        raise RuntimeError(f"threshold at delta={delta} is not 2*chi(O_X(3*delta/2 - 3))")
+    if delta % 2 == 0 and value != 2 * chi_OX(surface, 3 * delta // 2 - 3):
+        raise RuntimeError(f"threshold at even delta={delta} is not 2*chi(O_X) at an integer")
+    if gamma(surface, beta_for_hypersurface(delta)) > value:
+        raise RuntimeError(f"gamma exceeds the threshold at delta={delta}")
     return value
 
 
@@ -112,7 +114,8 @@ def hilbert_profile(
     if k % 2 == 0:
         # Unreachable once c2 > gamma, since 2*chi(O_X(t)) increases for 2t >= k;
         # a positive value here would rule natural cohomology out entirely.
-        assert chi_E(surface, c2, k // 2) <= 0
+        if chi_E(surface, c2, k // 2) > 0:
+            raise RuntimeError(f"chi(E({k // 2})) > 0 at the midpoint with c2={c2} > gamma")
 
     rows = []
     for n in range(n_min, n_max + 1):
@@ -121,7 +124,8 @@ def hilbert_profile(
         else:
             mirror = _upper_row(surface, c2, k - n)
             chi = chi_E(surface, c2, n)
-            assert chi == mirror.chi, (n, chi, mirror)
+            if chi != mirror.chi:
+                raise RuntimeError(f"chi(E({n})) = {chi} differs from its mirror {mirror}")
             rows.append(ProfileRow(n=n, h0=mirror.h2, h1=mirror.h1, h2=mirror.h0, chi=chi))
     return NaturalCohomologyProfile(
         surface=surface, c2=c2, beta=beta, gamma=bound, rows=tuple(rows)

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from moduli_numerics import cli
+from moduli_numerics import cli, moduli
 
 NUMBER_TOKEN = re.compile(r"(?<![\w.\[/-])-?\d+(?:/\d+)?(?![\w./])")
 
@@ -121,6 +121,17 @@ def test_verify_majority_mismatch_exits_4(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, argv)
     assert code == 4
     assert json.loads(out)["result"]["ok"] is False
+
+
+def test_internal_error_exits_5(capsys, monkeypatch):
+    def broken(curve):
+        raise RuntimeError(f"h^1(O_C(0)) != 0 for s={curve.s}")
+
+    monkeypatch.setattr(moduli, "curve_invariants", broken)
+    code, out, err = run_cli(capsys, ["construct", "--delta", "4"])
+    assert code == cli.EXIT_INTERNAL == 5
+    assert out == ""
+    assert err == "internal error: h^1(O_C(0)) != 0 for s=2\n"
 
 
 COMMANDS = [

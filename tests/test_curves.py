@@ -1,9 +1,11 @@
 """Determinantal-curve cohomology: resolution route against restriction route."""
 
+import dataclasses
 import math
 
 import pytest
 
+from moduli_numerics import curves
 from moduli_numerics.arith import binom_poly
 from moduli_numerics.curves import (
     chi_ideal,
@@ -12,7 +14,7 @@ from moduli_numerics.curves import (
     h_curve_structure,
     h_ideal,
 )
-from moduli_numerics.p3cohom import h_free_sum
+from moduli_numerics.p3cohom import h_free_sum, h_line
 
 
 def test_degree_genus_small():
@@ -66,6 +68,52 @@ def test_scanned_invariants_match_closed_forms(s):
     inv = curve_invariants(determinantal_curve(s))
     assert inv.s_of_c == s
     assert inv.e_of_c == s - 3
+
+
+def reference_e_of_c(curve):
+    """e(C) by the Riemann-Roch scan: h^1(O_C(n)) = 0 once degree * n > 2g - 2.
+
+    Starts at max(2g, s) and reads h^1 off degree, genus and line-bundle h^0
+    alone, with no call into the curves module.
+    """
+    s = curve.s
+
+    def h1(n):
+        h0_ideal = (s + 1) * h_line(0, n - s) - s * h_line(0, n - s - 1)
+        return h_line(0, n) - h0_ideal - (curve.degree * n + 1 - curve.genus)
+
+    n = max(2 * curve.genus, s)
+    while h1(n) == 0:
+        n -= 1
+    return n
+
+
+def test_e_of_c_matches_riemann_roch_scan():
+    for s in range(1, 41):
+        curve = determinantal_curve(s)
+        assert curve_invariants(curve).e_of_c == reference_e_of_c(curve), s
+
+
+@pytest.mark.parametrize("s", [10, 50, 200])
+def test_e_of_c_scan_makes_constant_work(monkeypatch, s):
+    calls = []
+    real = curves.h_curve_structure
+
+    def counting(curve, i, n):
+        calls.append(n)
+        return real(curve, i, n)
+
+    monkeypatch.setattr(curves, "h_curve_structure", counting)
+    assert curve_invariants(determinantal_curve(s)).e_of_c == s - 3
+    assert len(calls) <= 4, calls
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_tampered_genus_raises_runtime_error(shift):
+    curve = determinantal_curve(5)
+    tampered = dataclasses.replace(curve, genus=curve.genus + shift)
+    with pytest.raises(RuntimeError, match="s=5"):
+        curve_invariants(tampered)
 
 
 @pytest.mark.parametrize("s", range(1, 13))

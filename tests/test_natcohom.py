@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moduli_numerics import natcohom
 from moduli_numerics.natcohom import (
     beta_for_hypersurface,
     gamma,
@@ -58,6 +59,20 @@ def test_threshold_dominates_gamma():
             assert g == bound == 2 * chi_OX(surface, 3 * delta // 2 - 3)
         else:
             assert g < bound
+
+
+def test_threshold_identity_failure_raises_runtime_error(monkeypatch):
+    real = natcohom.chi_OX_poly
+    monkeypatch.setattr(natcohom, "chi_OX_poly", lambda surface, t: real(surface, t) + 1)
+    with pytest.raises(RuntimeError, match="delta=6"):
+        natural_cohomology_threshold(6)
+
+
+def test_profile_mirror_failure_raises_runtime_error(monkeypatch):
+    real = natcohom.chi_E
+    monkeypatch.setattr(natcohom, "chi_E", lambda surface, c2, n: real(surface, c2, n) + n)
+    with pytest.raises(RuntimeError, match="mirror"):
+        hilbert_profile(hypersurface(5), 200, -2, 4)
 
 
 def test_profile_rows_for_quartic():
