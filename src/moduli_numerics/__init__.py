@@ -1,4 +1,8 @@
-"""Exact numerics for rank-2 moduli spaces on hypersurfaces in P^3."""
+"""Exact numerics for rank-2 moduli spaces on hypersurfaces in P^3.
+
+The finite-field oracles live in ``moduli_numerics.oracle``, the one module
+that imports numpy; importing this package does not load it.
+"""
 
 from .arith import Rational, binom_poly, binom_trunc
 from .curves import (
@@ -34,14 +38,6 @@ from .natcohom import (
     gamma,
     hilbert_profile,
     natural_cohomology_threshold,
-)
-from .oracle import (
-    FiniteFieldMatrix,
-    h0_ideal_oracle,
-    h0_ideal_square_oracle,
-    h0_line_oracle,
-    majority,
-    monomials,
 )
 from .p3cohom import FreeSheafSum, chi_free_sum, chi_line, h_free_sum, h_line
 from .surfaces import SurfaceNumerics, chi_E, chi_OX, chi_OX_poly, expected_dim, hypersurface

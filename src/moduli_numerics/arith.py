@@ -1,9 +1,9 @@
 """Exact integer and rational arithmetic.
 
 Python integers are already sign/magnitude bignums and ``fractions.Fraction``
-already keeps a reduced numerator over a positive denominator, so the only
-thing this module adds is the pair of binomial conventions the cohomology
-formulas rely on:
+already keeps a reduced numerator over a positive denominator, so this module
+adds only the error type of the library's input checks and the pair of
+binomial conventions the cohomology formulas rely on:
 
 * ``binom_trunc`` is the counting binomial: it vanishes as soon as the top
   argument drops below the bottom one (in particular for every negative top).
@@ -26,10 +26,18 @@ from math import comb, factorial
 Rational = Fraction
 
 
+class PreconditionError(ValueError):
+    """An argument outside the domain a function is defined on.
+
+    The CLI reports these as bad input (exit 3); any other ``ValueError`` that
+    escapes the library is a bug and is reported as an internal error.
+    """
+
+
 def binom_trunc(m: int, k: int) -> int:
     """Binomial coefficient C(m, k), truncated to 0 whenever m < k."""
     if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
+        raise PreconditionError(f"k must be non-negative, got {k}")
     if m < k:
         return 0
     return comb(m, k)
@@ -38,7 +46,7 @@ def binom_trunc(m: int, k: int) -> int:
 def binom_poly(m: int, k: int) -> int:
     """The polynomial m(m-1)...(m-k+1)/k! at an arbitrary integer m."""
     if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
+        raise PreconditionError(f"k must be non-negative, got {k}")
     num = 1
     for j in range(k):
         num *= m - j

@@ -5,8 +5,9 @@ encoded values, so their numeric content is identical.  Integers are
 serialized as decimal strings (c2 formulas are cubic in delta and overflow
 64-bit consumers), rationals as "num/den", and unbounded quantities as null.
 
-Exit codes: 0 success, 2 usage error, 3 precondition failure, 4 oracle
-mismatch, 5 internal error (a library self-check failed).
+Exit codes: 0 success, 2 usage error, 3 precondition failure (a
+``PreconditionError`` from an input check), 4 oracle mismatch, 5 internal
+error (a library self-check failed, or any other ``ValueError`` escaped).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 
-from .arith import binom_trunc
+from .arith import PreconditionError, binom_trunc
 from .curves import curve_invariants, determinantal_curve, h_curve_structure, h_ideal
 from .moduli import (
     ComponentInterval,
@@ -38,7 +39,6 @@ from .natcohom import (
     hilbert_profile,
     natural_cohomology_threshold,
 )
-from .oracle import h0_ideal_oracle, h0_ideal_square_oracle, h0_line_oracle, majority
 from .surfaces import chi_E, chi_OX, expected_dim, hypersurface
 
 FORMAT_VERSION = "moduli-numerics/1"
@@ -172,7 +172,7 @@ RENDERERS = {"text": render_text, "json": render_json, "csv": render_csv}
 
 def _twist_range(n_min: int, n_max: int) -> range:
     if n_min > n_max:
-        raise ValueError(f"empty twist range {n_min}..{n_max}")
+        raise PreconditionError(f"empty twist range {n_min}..{n_max}")
     return range(n_min, n_max + 1)
 
 
@@ -313,6 +313,9 @@ def _cmd_natural(args) -> tuple[Report, int]:
 
 
 def _cmd_verify(args) -> tuple[Report, int]:
+    # The oracle layer loads numpy; only this subcommand pays for that import.
+    from .oracle import h0_ideal_oracle, h0_ideal_square_oracle, h0_line_oracle, majority
+
     primes = args.prime or [101, 32003]
     seeds = args.seed or [1, 2, 3]
     rows = []
@@ -464,10 +467,10 @@ def run(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
+    except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except RuntimeError as exc:
+    except (ValueError, RuntimeError) as exc:  # a library bug or failed self-check
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     rendered = RENDERERS[args.format](report)

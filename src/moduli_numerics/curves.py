@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import binom_poly
+from .arith import PreconditionError, binom_poly
 from .p3cohom import FreeSheafSum, chi_free_sum, h_free_sum, h_line
 
 
@@ -61,7 +61,7 @@ def determinantal_curve(s: int) -> DeterminantalCurve:
     s(s+1)/2 for the locus of maximal minors.
     """
     if s < 1:
-        raise ValueError(f"determinantal parameter must be >= 1, got {s}")
+        raise PreconditionError(f"determinantal parameter must be >= 1, got {s}")
     syzygies = FreeSheafSum.of([(-s - 1, s)])
     generators = FreeSheafSum.of([(-s, s + 1)])
 
@@ -106,7 +106,7 @@ def h_ideal(curve: DeterminantalCurve, i: int, n: int) -> int:
         return h_curve_structure(curve, 1, n)
     if i == 3:
         return h_line(3, n)
-    raise ValueError(f"cohomology index must be in 0..3, got {i}")
+    raise PreconditionError(f"cohomology index must be in 0..3, got {i}")
 
 
 def h_curve_structure(curve: DeterminantalCurve, i: int, n: int) -> int:
@@ -116,7 +116,7 @@ def h_curve_structure(curve: DeterminantalCurve, i: int, n: int) -> int:
     h^1 from Riemann-Roch on the curve: chi(O_C(n)) = degree*n + 1 - genus.
     """
     if i not in (0, 1):
-        raise ValueError(f"curve cohomology index must be 0 or 1, got {i}")
+        raise PreconditionError(f"curve cohomology index must be 0 or 1, got {i}")
     h0_ideal_n = h_free_sum(0, curve.generators, n) - h_free_sum(0, curve.syzygies, n)
     h0 = h_line(0, n) - h0_ideal_n
     if h0 < 0:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+from .arith import PreconditionError
 from .curves import DeterminantalCurve, curve_invariants, determinantal_curve, h_ideal
 from .surfaces import expected_dim, hypersurface
 
@@ -139,9 +140,9 @@ class ComponentInterval:
         """Materialize the integer points, refusing pathological enumerations."""
         count = self.integer_count
         if count is None:
-            raise ValueError(f"{self.label.value} interval is unbounded above")
+            raise PreconditionError(f"{self.label.value} interval is unbounded above")
         if count > cap:
-            raise ValueError(f"interval holds {count} integers, above the cap {cap}")
+            raise PreconditionError(f"interval holds {count} integers, above the cap {cap}")
         if count == 0:
             return []
         first = self.first_integer
@@ -157,11 +158,11 @@ def certificate(delta: int, s: int, sigma: int) -> ConstructionCertificate:
     with a finite range.
     """
     if delta < 4:
-        raise ValueError(f"hypersurface degree must be >= 4, got {delta}")
+        raise PreconditionError(f"hypersurface degree must be >= 4, got {delta}")
     if s < 1:
-        raise ValueError(f"determinantal parameter must be >= 1, got {s}")
+        raise PreconditionError(f"determinantal parameter must be >= 1, got {s}")
     if sigma < 1:
-        raise ValueError(f"twist sigma must be >= 1, got {sigma}")
+        raise PreconditionError(f"twist sigma must be >= 1, got {sigma}")
 
     curve = determinantal_curve(s)
     inv = curve_invariants(curve)
@@ -243,7 +244,7 @@ def optimal_parameters(delta: int) -> OptimalParameters:
     RuntimeError.
     """
     if delta < 4:
-        raise ValueError(f"hypersurface degree must be >= 4, got {delta}")
+        raise PreconditionError(f"hypersurface degree must be >= 4, got {delta}")
     s = delta - 2 if delta % 2 == 0 else delta - 3
     sigma = s // 2
     c2_min = delta * sigma * (sigma + 1)
@@ -305,7 +306,7 @@ def interval_for(label: IntervalLabel | str, delta: int) -> ComponentInterval:
     """The catalog interval ``label`` at hypersurface degree ``delta``."""
     label = IntervalLabel(label)
     if delta < 4:
-        raise ValueError(f"hypersurface degree must be >= 4, got {delta}")
+        raise PreconditionError(f"hypersurface degree must be >= 4, got {delta}")
     lower, upper, lower_closed, upper_closed, stable_unknown, least_delta = _CATALOG[label]
     return ComponentInterval(
         label=label,
@@ -354,7 +355,7 @@ def min_delta_nonempty(
     """
     label = IntervalLabel(label)
     if parity not in ("even", "odd", "any"):
-        raise ValueError(f"parity must be 'even', 'odd' or 'any', got {parity!r}")
+        raise PreconditionError(f"parity must be 'even', 'odd' or 'any', got {parity!r}")
     step = 1 if parity == "any" else 2
     first = {"even": 4, "odd": 5, "any": 4}[parity]
     empty = [d for d in range(first, scan_limit + 1, step) if interval_for(label, d).is_empty]

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .arith import PreconditionError
 from .surfaces import SurfaceNumerics, chi_E, chi_OX, chi_OX_poly, hypersurface
 
 
@@ -24,14 +25,14 @@ def beta_for_hypersurface(delta: int) -> int:
     and always sits at or above the Serre-duality midpoint k/2.
     """
     if delta < 4:
-        raise ValueError(f"hypersurface degree must be >= 4, got {delta}")
+        raise PreconditionError(f"hypersurface degree must be >= 4, got {delta}")
     return (3 * delta - 8) // 2 + 1
 
 
 def gamma(surface: SurfaceNumerics, beta: int) -> int:
     """The c2 bound 2*chi(O_X(beta)); beta must sit at or above k/2."""
     if 2 * beta < surface.k:
-        raise ValueError(f"beta must satisfy 2*beta >= k, got beta={beta}, k={surface.k}")
+        raise PreconditionError(f"beta must satisfy 2*beta >= k, got beta={beta}, k={surface.k}")
     return 2 * chi_OX(surface, beta)
 
 
@@ -44,7 +45,7 @@ def natural_cohomology_threshold(delta: int) -> Fraction:
     facts are checked, and a failed check raises RuntimeError.
     """
     if delta < 4:
-        raise ValueError(f"hypersurface degree must be >= 4, got {delta}")
+        raise PreconditionError(f"hypersurface degree must be >= 4, got {delta}")
     value = Fraction(13 * delta**3 - 24 * delta**2 + 8 * delta, 12)
     surface = hypersurface(delta)
     if value != 2 * chi_OX_poly(surface, Fraction(3 * delta - 6, 2)):
@@ -100,14 +101,16 @@ def hilbert_profile(
     for a surface constructed from raw numerics.
     """
     if n_min > n_max:
-        raise ValueError(f"empty twist range {n_min}..{n_max}")
+        raise PreconditionError(f"empty twist range {n_min}..{n_max}")
     if beta is None:
         if surface.delta is None:
-            raise ValueError("beta must be supplied for surfaces not built as hypersurfaces")
+            raise PreconditionError(
+                "beta must be supplied for surfaces not built as hypersurfaces"
+            )
         beta = beta_for_hypersurface(surface.delta)
     bound = gamma(surface, beta)
     if c2 <= bound:
-        raise ValueError(
+        raise PreconditionError(
             f"natural cohomology is only certified for c2 > gamma = {bound}, got c2 = {c2}"
         )
     k = surface.k

@@ -19,20 +19,33 @@ from typing import Sequence
 
 import numpy as np
 
+from .arith import PreconditionError
+
 Exponent = tuple[int, int, int, int]
 Poly = dict[Exponent, int]
 
 _MAX_PRIME = 2**31  # keeps pivot products inside int64
 
 
-def _require_prime(p: int) -> None:
-    if p < 2 or p > _MAX_PRIME:
-        raise ValueError(f"modulus must be a prime in 2..2^31, got {p}")
+def _least_factor(p: int) -> int:
+    """The least prime factor of p >= 2, by trial division (~46k steps near 2^31)."""
     d = 2
     while d * d <= p:
         if p % d == 0:
-            raise ValueError(f"modulus must be prime, got {p} = {d} * {p // d}")
+            return d
         d += 1
+    return p
+
+
+# Memoised: every oracle call checks its modulus twice.  A rejected modulus
+# raises, and lru_cache stores nothing for a call that raises.
+@lru_cache(maxsize=64)
+def _require_prime(p: int) -> None:
+    if p < 2 or p > _MAX_PRIME:
+        raise PreconditionError(f"modulus must be a prime in 2..2^31, got {p}")
+    d = _least_factor(p)
+    if d != p:
+        raise PreconditionError(f"modulus must be prime, got {p} = {d} * {p // d}")
 
 
 def monomials(degree: int) -> list[Exponent]:
@@ -63,7 +76,7 @@ class FiniteFieldMatrix:
         _require_prime(self.p)
         entries = np.asarray(self.entries, dtype=np.int64)
         if entries.ndim != 2:
-            raise ValueError(f"matrix must be 2-dimensional, got shape {entries.shape}")
+            raise PreconditionError(f"matrix must be 2-dimensional, got shape {entries.shape}")
         self.entries = entries % self.p
 
     @property
@@ -166,7 +179,7 @@ def h0_ideal_oracle(s: int, n: int, p: int, seed: int) -> int:
     """h^0(J(n)) measured as the rank of degree-n multiples of the minors."""
     _require_prime(p)
     if s < 1:
-        raise ValueError(f"determinantal parameter must be >= 1, got {s}")
+        raise PreconditionError(f"determinantal parameter must be >= 1, got {s}")
     if n < s:
         return 0
     return _span_rank(_maximal_minors(s, p, seed), n - s, n, p)
@@ -180,7 +193,7 @@ def h0_ideal_square_oracle(s: int, n: int, p: int, seed: int) -> int:
     """
     _require_prime(p)
     if s < 1:
-        raise ValueError(f"determinantal parameter must be >= 1, got {s}")
+        raise PreconditionError(f"determinantal parameter must be >= 1, got {s}")
     if n < 2 * s:
         return 0
     minors = _maximal_minors(s, p, seed)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .arith import binom_poly, binom_trunc
+from .arith import PreconditionError, binom_poly, binom_trunc
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,7 @@ class FreeSheafSum:
     def __post_init__(self) -> None:
         for twist, mult in self.terms:
             if mult < 1:
-                raise ValueError(f"multiplicity must be >= 1, got {mult} for twist {twist}")
+                raise PreconditionError(f"multiplicity must be >= 1, got {mult} for twist {twist}")
 
     @classmethod
     def of(cls, terms: Iterable[tuple[int, int]]) -> "FreeSheafSum":
@@ -47,7 +47,7 @@ def h_line(i: int, n: int) -> int:
         return 0
     if i == 3:
         return binom_trunc(-n - 1, 3)
-    raise ValueError(f"cohomology index must be in 0..3, got {i}")
+    raise PreconditionError(f"cohomology index must be in 0..3, got {i}")
 
 
 def chi_line(n: int) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import binom_poly
+from .arith import PreconditionError, binom_poly
 
 
 @dataclass(frozen=True)
@@ -26,11 +26,13 @@ class SurfaceNumerics:
 
     def __post_init__(self) -> None:
         if self.h_square < 1:
-            raise ValueError(f"polarization self-intersection must be >= 1, got {self.h_square}")
+            raise PreconditionError(
+                f"polarization self-intersection must be >= 1, got {self.h_square}"
+            )
         # Adjunction parity: H^2 * (k + 1) even, exactly what makes the
         # Riemann-Roch value chi0 + H^2 * n(n-k)/2 an integer for every n.
         if (self.h_square * (self.k + 1)) % 2 != 0:
-            raise ValueError(
+            raise PreconditionError(
                 f"inconsistent surface data: h_square={self.h_square}, k={self.k} "
                 "violate adjunction parity"
             )
@@ -43,7 +45,7 @@ def hypersurface(delta: int) -> SurfaceNumerics:
     sequence of O on P^3: 1 - chi(O(-delta)) = 1 + C(delta-1, 3).
     """
     if delta < 4:
-        raise ValueError(f"hypersurface degree must be >= 4, got {delta}")
+        raise PreconditionError(f"hypersurface degree must be >= 4, got {delta}")
     return SurfaceNumerics(
         h_square=delta,
         k=delta - 4,

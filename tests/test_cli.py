@@ -1,7 +1,11 @@
 """CLI reports: exit codes, format equivalence and round-trips."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -116,7 +120,7 @@ def test_verify_small_run_passes(capsys):
 
 
 def test_verify_majority_mismatch_exits_4(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "h0_ideal_oracle", lambda s, n, p, seed: 999)
+    monkeypatch.setattr("moduli_numerics.oracle.h0_ideal_oracle", lambda s, n, p, seed: 999)
     argv = ["verify", "--max-s", "1", "--prime", "101", "--seed", "1", "--format", "json"]
     code, out, _ = run_cli(capsys, argv)
     assert code == 4
@@ -132,6 +136,54 @@ def test_internal_error_exits_5(capsys, monkeypatch):
     assert code == cli.EXIT_INTERNAL == 5
     assert out == ""
     assert err == "internal error: h^1(O_C(0)) != 0 for s=2\n"
+
+
+def test_bare_value_error_exits_5(capsys, monkeypatch):
+    # Only PreconditionError means bad input; any other ValueError is a bug.
+    def broken(curve):
+        raise ValueError("math domain error")
+
+    monkeypatch.setattr(moduli, "curve_invariants", broken)
+    code, out, err = run_cli(capsys, ["construct", "--delta", "4"])
+    assert code == cli.EXIT_INTERNAL
+    assert out == ""
+    assert err == "internal error: math domain error\n"
+
+
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+from moduli_numerics import cli
+argvs = [
+    ["surface", "--delta", "5", "--c2", "10"],
+    ["curve", "--s", "3"],
+    ["construct", "--delta", "6"],
+    ["intervals", "--delta", "14"],
+    ["thresholds"],
+    ["natural", "--delta", "4", "--c2", "41"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.run(argv) for argv in argvs]
+    numpy_before = "numpy" in sys.modules
+    verify = cli.run(["verify", "--max-s", "1"])
+print(json.dumps([codes, numpy_before, verify, "numpy" in sys.modules]))
+"""
+
+
+def test_only_verify_imports_numpy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE],
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, numpy_before, verify, numpy_after = json.loads(proc.stdout)
+    assert codes == [0] * 6
+    assert numpy_before is False
+    assert (verify, numpy_after) == (0, True)
 
 
 COMMANDS = [

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moduli_numerics.arith import binom_trunc
+from moduli_numerics import oracle
+from moduli_numerics.arith import PreconditionError, binom_trunc
 from moduli_numerics.curves import determinantal_curve, h_ideal
 from moduli_numerics.oracle import (
     FiniteFieldMatrix,
@@ -66,7 +67,8 @@ def _rank_by_minors(matrix, p):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 5), st.data())
 def test_rank_against_minor_oracle(m, n, data):
-    p = 101
+    # 2^31 - 1, the largest accepted prime, pins the int64 headroom of the kernel.
+    p = data.draw(st.sampled_from([101, 2**31 - 1]))
     entries = data.draw(
         st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n), min_size=m, max_size=m)
     )
@@ -89,6 +91,21 @@ def test_prime_validation():
         h0_ideal_oracle(2, 2, 1, 3)
     with pytest.raises(ValueError):
         h0_ideal_oracle(0, 2, 101, 3)
+
+
+def test_prime_check_is_memoised(monkeypatch):
+    # Count trial divisions, not time: each oracle call checks its modulus twice.
+    least_factor = oracle._least_factor
+    divisions = []
+    monkeypatch.setattr(oracle, "_least_factor", lambda p: divisions.append(p) or least_factor(p))
+    oracle._require_prime.cache_clear()
+    big = 2**31 - 1
+    assert [h0_ideal_oracle(1, 1, big, seed) for seed in (1, 2, 3)] == [2, 2, 2]
+    assert divisions == [big]
+    for _ in range(2):  # a rejected modulus is not cached and is rejected again
+        with pytest.raises(PreconditionError, match="100 = 2 [*] 50"):
+            FiniteFieldMatrix(100, np.zeros((1, 1), dtype=np.int64))
+    assert divisions == [big, 100, 100]
 
 
 def test_oracle_examples():
