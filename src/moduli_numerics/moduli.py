@@ -302,9 +302,16 @@ _CATALOG = {
 }
 
 
+def _label(label: IntervalLabel | str) -> IntervalLabel:
+    try:
+        return IntervalLabel(label)
+    except ValueError as exc:
+        raise PreconditionError(str(exc)) from None
+
+
 def interval_for(label: IntervalLabel | str, delta: int) -> ComponentInterval:
     """The catalog interval ``label`` at hypersurface degree ``delta``."""
-    label = IntervalLabel(label)
+    label = _label(label)
     if delta < 4:
         raise PreconditionError(f"hypersurface degree must be >= 4, got {delta}")
     lower, upper, lower_closed, upper_closed, stable_unknown, least_delta = _CATALOG[label]
@@ -353,7 +360,7 @@ def min_delta_nonempty(
     again.  The scan insists on a wide clean tail below ``scan_limit`` so the
     cubic growth has visibly taken over.
     """
-    label = IntervalLabel(label)
+    label = _label(label)
     if parity not in ("even", "odd", "any"):
         raise PreconditionError(f"parity must be 'even', 'odd' or 'any', got {parity!r}")
     step = 1 if parity == "any" else 2

@@ -27,25 +27,14 @@ Poly = dict[Exponent, int]
 _MAX_PRIME = 2**31  # keeps pivot products inside int64
 
 
-def _least_factor(p: int) -> int:
-    """The least prime factor of p >= 2, by trial division (~46k steps near 2^31)."""
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return d
-        d += 1
-    return p
-
-
-# Memoised: every oracle call checks its modulus twice.  A rejected modulus
-# raises, and lru_cache stores nothing for a call that raises.
-@lru_cache(maxsize=64)
 def _require_prime(p: int) -> None:
     if p < 2 or p > _MAX_PRIME:
         raise PreconditionError(f"modulus must be a prime in 2..2^31, got {p}")
-    d = _least_factor(p)
-    if d != p:
-        raise PreconditionError(f"modulus must be prime, got {p} = {d} * {p // d}")
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            raise PreconditionError(f"modulus must be prime, got {p} = {d} * {p // d}")
+        d += 1
 
 
 def monomials(degree: int) -> list[Exponent]:

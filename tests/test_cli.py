@@ -150,6 +150,30 @@ def test_bare_value_error_exits_5(capsys, monkeypatch):
     assert err == "internal error: math domain error\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--max-s", "1", "--prime", "100"], "modulus must be prime, got 100 = 2 * 50"),
+        (["curve", "--s", "0"], "determinantal parameter must be >= 1, got 0"),
+        (["surface", "--delta", "3", "--c2", "10"], "hypersurface degree must be >= 4, got 3"),
+        (
+            ["natural", "--delta", "4", "--c2", "1"],
+            "natural cohomology is only certified for c2 > gamma = 40, got c2 = 1",
+        ),
+        (
+            ["construct", "--delta", "4", "--s", "0", "--sigma", "1"],
+            "determinantal parameter must be >= 1, got 0",
+        ),
+    ],
+)
+def test_library_input_checks_exit_3(capsys, argv, message):
+    # Exit 3 needs a PreconditionError; a bare ValueError from the check would exit 5.
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 from moduli_numerics import cli

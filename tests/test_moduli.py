@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from moduli_numerics import moduli
+from moduli_numerics.arith import PreconditionError
 from moduli_numerics.curves import determinantal_curve
 from moduli_numerics.moduli import (
     ComponentInterval,
@@ -186,6 +187,14 @@ def test_min_delta_validation():
     with pytest.raises(ValueError):
         min_delta_nonempty("two_component", "both")
     with pytest.raises(ValueError):
+        min_delta_nonempty("no_such_label")
+
+
+def test_unknown_label_is_a_precondition_error():
+    message = "'no_such_label' is not a valid IntervalLabel"
+    with pytest.raises(PreconditionError, match=message):
+        interval_for("no_such_label", 14)
+    with pytest.raises(PreconditionError, match=message):
         min_delta_nonempty("no_such_label")
 
 

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moduli_numerics import oracle
-from moduli_numerics.arith import PreconditionError, binom_trunc
+from moduli_numerics.arith import binom_trunc
 from moduli_numerics.curves import determinantal_curve, h_ideal
 from moduli_numerics.oracle import (
     FiniteFieldMatrix,
@@ -91,21 +90,6 @@ def test_prime_validation():
         h0_ideal_oracle(2, 2, 1, 3)
     with pytest.raises(ValueError):
         h0_ideal_oracle(0, 2, 101, 3)
-
-
-def test_prime_check_is_memoised(monkeypatch):
-    # Count trial divisions, not time: each oracle call checks its modulus twice.
-    least_factor = oracle._least_factor
-    divisions = []
-    monkeypatch.setattr(oracle, "_least_factor", lambda p: divisions.append(p) or least_factor(p))
-    oracle._require_prime.cache_clear()
-    big = 2**31 - 1
-    assert [h0_ideal_oracle(1, 1, big, seed) for seed in (1, 2, 3)] == [2, 2, 2]
-    assert divisions == [big]
-    for _ in range(2):  # a rejected modulus is not cached and is rejected again
-        with pytest.raises(PreconditionError, match="100 = 2 [*] 50"):
-            FiniteFieldMatrix(100, np.zeros((1, 1), dtype=np.int64))
-    assert divisions == [big, 100, 100]
 
 
 def test_oracle_examples():
