@@ -25,6 +25,17 @@ CALLS = [
     *(["construct", "--delta", str(delta)] for delta in (4, 9, 28)),
     ["construct", "--delta", "6", "--s", "4", "--sigma", "2"],
     ["intervals", "--delta", "3"],
+    ["surface", "--delta", "5", "--c2", "10"],
+    ["surface", "--delta", "4"],
+    ["curve", "--s", "3"],
+    ["curve", "--s", "1", "--n-min", "-1", "--n-max", "2"],
+    ["natural", "--delta", "4", "--c2", "41"],
+    ["natural", "--delta", "7", "--c2", "400", "--n-min", "-3", "--n-max", "9"],
+    ["verify", "--max-s", "2", "--prime", "101", "--seed", "1", "--seed", "2", "--seed", "3"],
+    ["verify", "--max-s", "1", "--max-n", "2"],
+    ["curve", "--s", "0"],
+    ["natural", "--delta", "4", "--c2", "40"],
+    ["construct", "--delta", "4", "--s", "2"],
 ]
 CASES = {
     "_".join(a.lstrip("-") for a in argv): argv
