@@ -18,12 +18,7 @@ every downstream number, hence two names and no switching flag.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, factorial
-
-# Interval endpoints and thresholds are carried as Fraction even when they
-# happen to be integers, so parity cases need no special-casing.
-Rational = Fraction
 
 
 class PreconditionError(ValueError):

@@ -1,9 +1,10 @@
 """Command-line front end emitting text, JSON and CSV reports.
 
-Every subcommand builds one Report object; the three formats render the same
-encoded values, so their numeric content is identical.  Integers are
-serialized as decimal strings (c2 formulas are cubic in delta and overflow
-64-bit consumers), rationals as "num/den", and unbounded quantities as null.
+Every subcommand returns its inputs, its result and an exit code; ``run``
+encodes them into one report dict, and the three formats render that dict, so
+their numeric content is identical.  Integers are serialized as decimal
+strings (c2 formulas are cubic in delta and overflow 64-bit consumers),
+rationals as "num/den", and unbounded quantities as null.
 
 Exit codes: 0 success, 2 usage error, 3 precondition failure (a
 ``PreconditionError`` from an input check), 4 oracle mismatch, 5 internal
@@ -18,7 +19,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
@@ -33,12 +33,7 @@ from .moduli import (
     min_delta_nonempty,
     optimal_parameters,
 )
-from .natcohom import (
-    beta_for_hypersurface,
-    gamma,
-    hilbert_profile,
-    natural_cohomology_threshold,
-)
+from .natcohom import hilbert_profile, natural_cohomology_threshold
 from .surfaces import chi_E, chi_OX, expected_dim, hypersurface
 
 FORMAT_VERSION = "moduli-numerics/1"
@@ -60,9 +55,7 @@ def encode(value):
         return value.value
     if isinstance(value, bool):
         return value
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, Fraction):
+    if isinstance(value, (int, Fraction)):
         return str(value)
     if isinstance(value, float):
         if math.isinf(value):
@@ -75,22 +68,6 @@ def encode(value):
     if isinstance(value, dict):
         return {str(k): encode(v) for k, v in value.items()}
     raise TypeError(f"cannot encode {type(value)!r} in a report")
-
-
-@dataclass
-class Report:
-    command: str
-    inputs: dict
-    result: dict
-    version: str = FORMAT_VERSION
-
-    def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "command": self.command,
-            "inputs": encode(self.inputs),
-            "result": encode(self.result),
-        }
 
 
 def _text_scalar(value) -> str:
@@ -117,14 +94,13 @@ def _format_table(rows: list[dict]) -> list[str]:
     return lines
 
 
-def render_text(report: Report) -> str:
-    d = report.to_dict()
-    lines = [f"{d['version']} {d['command']}"]
-    if d["inputs"]:
-        pairs = " ".join(f"{k}={_text_scalar(v)}" for k, v in d["inputs"].items())
+def render_text(report: dict) -> str:
+    lines = [f"{report['version']} {report['command']}"]
+    if report["inputs"]:
+        pairs = " ".join(f"{k}={_text_scalar(v)}" for k, v in report["inputs"].items())
         lines.append(f"inputs: {pairs}")
     rows = None
-    for key, value in d["result"].items():
+    for key, value in report["result"].items():
         if key == "rows":
             rows = value
             continue
@@ -135,8 +111,8 @@ def render_text(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_json(report: Report) -> str:
-    return json.dumps(report.to_dict(), indent=2) + "\n"
+def render_json(report: dict) -> str:
+    return json.dumps(report, indent=2) + "\n"
 
 
 def _flatten(value, prefix=""):
@@ -150,20 +126,12 @@ def _flatten(value, prefix=""):
         yield prefix, value
 
 
-def render_csv(report: Report) -> str:
+def render_csv(report: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["key", "value"])
-    for path, value in _flatten(report.to_dict()):
-        if value is None:
-            cell = ""
-        elif value is True:
-            cell = "true"
-        elif value is False:
-            cell = "false"
-        else:
-            cell = str(value)
-        writer.writerow([path, cell])
+    for path, value in _flatten(report):
+        writer.writerow([path, "" if value is None else _text_scalar(value)])
     return buf.getvalue()
 
 
@@ -176,7 +144,7 @@ def _twist_range(n_min: int, n_max: int) -> range:
     return range(n_min, n_max + 1)
 
 
-def _cmd_surface(args) -> tuple[Report, int]:
+def _cmd_surface(args) -> tuple[dict, dict, int]:
     surface = hypersurface(args.delta)
     result = {"h_square": surface.h_square, "k": surface.k, "chi0": surface.chi0}
     if args.c2 is not None:
@@ -189,10 +157,10 @@ def _cmd_surface(args) -> tuple[Report, int]:
         rows.append(row)
     result["rows"] = rows
     inputs = {"delta": args.delta, "c2": args.c2, "n_min": args.n_min, "n_max": args.n_max}
-    return Report("surface", inputs, result), EXIT_OK
+    return inputs, result, EXIT_OK
 
 
-def _cmd_curve(args) -> tuple[Report, int]:
+def _cmd_curve(args) -> tuple[dict, dict, int]:
     curve = determinantal_curve(args.s)
     inv = curve_invariants(curve)
     n_max = args.n_max if args.n_max is not None else 3 * curve.s
@@ -224,10 +192,10 @@ def _cmd_curve(args) -> tuple[Report, int]:
         "rows": rows,
     }
     inputs = {"s": args.s, "n_min": args.n_min, "n_max": n_max}
-    return Report("curve", inputs, result), EXIT_OK
+    return inputs, result, EXIT_OK
 
 
-def _cmd_construct(args) -> tuple[Report, int]:
+def _cmd_construct(args) -> tuple[dict, dict, int]:
     if (args.s is None) != (args.sigma is None):
         raise _UsageError("--s and --sigma must be given together or both omitted")
     if args.s is None:
@@ -249,7 +217,7 @@ def _cmd_construct(args) -> tuple[Report, int]:
         "expected_dim": cert.exp_dim,
     }
     inputs = {"delta": args.delta, "s": args.s, "sigma": args.sigma}
-    return Report("construct", inputs, result), EXIT_OK
+    return inputs, result, EXIT_OK
 
 
 def _interval_row(interval: ComponentInterval) -> dict:
@@ -268,12 +236,12 @@ def _interval_row(interval: ComponentInterval) -> dict:
     }
 
 
-def _cmd_intervals(args) -> tuple[Report, int]:
+def _cmd_intervals(args) -> tuple[dict, dict, int]:
     rows = [_interval_row(interval_for(label, args.delta)) for label in IntervalLabel]
-    return Report("intervals", {"delta": args.delta}, {"rows": rows}), EXIT_OK
+    return {"delta": args.delta}, {"rows": rows}, EXIT_OK
 
 
-def _cmd_thresholds(args) -> tuple[Report, int]:
+def _cmd_thresholds(args) -> tuple[dict, dict, int]:
     # Smallest delta of each parity from which the interval always holds a c2.
     rows = []
     for label, parity in [
@@ -289,10 +257,10 @@ def _cmd_thresholds(args) -> tuple[Report, int]:
         rows.append(
             {"label": label, "parity": parity, "delta": min_delta_nonempty(label, parity)}
         )
-    return Report("thresholds", {}, {"rows": rows}), EXIT_OK
+    return {}, {"rows": rows}, EXIT_OK
 
 
-def _cmd_natural(args) -> tuple[Report, int]:
+def _cmd_natural(args) -> tuple[dict, dict, int]:
     surface = hypersurface(args.delta)
     n_min = args.n_min if args.n_min is not None else -2
     n_max = args.n_max if args.n_max is not None else surface.k + 6
@@ -309,96 +277,52 @@ def _cmd_natural(args) -> tuple[Report, int]:
         "rows": rows,
     }
     inputs = {"delta": args.delta, "c2": args.c2, "n_min": n_min, "n_max": n_max}
-    return Report("natural", inputs, result), EXIT_OK
+    return inputs, result, EXIT_OK
 
 
-def _cmd_verify(args) -> tuple[Report, int]:
+def _cmd_verify(args) -> tuple[dict, dict, int]:
     # The oracle layer loads numpy; only this subcommand pays for that import.
     from .oracle import h0_ideal_oracle, h0_ideal_square_oracle, h0_line_oracle, majority
 
     primes = args.prime or [101, 32003]
     seeds = args.seed or [1, 2, 3]
     rows = []
-    all_ok = True
 
-    for n in range(0, 16):
-        got = h0_line_oracle(n)
-        want = binom_trunc(n + 3, 3)
-        ok = got == want
-        all_ok = all_ok and ok
+    def check(name, s, n, p, expected, values):
+        # expected None: measured and reported, not asserted.
+        maj = majority(values)
         rows.append(
             {
-                "check": "h0_line",
-                "s": None,
+                "check": name,
+                "s": s,
                 "n": n,
-                "p": None,
-                "expected": want,
-                "values": [got],
-                "majority": got,
-                "ok": ok,
+                "p": p,
+                "expected": expected,
+                "values": values,
+                "majority": maj,
+                "ok": expected is None or maj == expected,
             }
         )
+
+    for n in range(0, 16):
+        check("h0_line", None, n, None, binom_trunc(n + 3, 3), [h0_line_oracle(n)])
 
     for s in range(1, args.max_s + 1):
         curve = determinantal_curve(s)
         n_top = 3 * s if args.max_n is None else min(3 * s, args.max_n)
         for p in primes:
             for n in range(0, n_top + 1):
-                want = h_ideal(curve, 0, n)
                 values = [h0_ideal_oracle(s, n, p, seed) for seed in seeds]
-                maj = majority(values)
-                ok = maj == want
-                all_ok = all_ok and ok
-                rows.append(
-                    {
-                        "check": "h0_ideal",
-                        "s": s,
-                        "n": n,
-                        "p": p,
-                        "expected": want,
-                        "values": values,
-                        "majority": maj,
-                        "ok": ok,
-                    }
-                )
+                check("h0_ideal", s, n, p, h_ideal(curve, 0, n), values)
             for n in range(0, min(2 * s, n_top) + 1):
                 values = [h0_ideal_square_oracle(s, n, p, seed) for seed in seeds]
-                maj = majority(values)
-                if n < 2 * s:
-                    ok = maj == 0
-                    all_ok = all_ok and ok
-                    expected = 0
-                else:
-                    # First twist where the square can be nonzero: measured, not asserted.
-                    ok = True
-                    expected = None
-                rows.append(
-                    {
-                        "check": "h0_ideal_square",
-                        "s": s,
-                        "n": n,
-                        "p": p,
-                        "expected": expected,
-                        "values": values,
-                        "majority": maj,
-                        "ok": ok,
-                    }
-                )
+                # 2s is the first twist where the square can be nonzero.
+                check("h0_ideal_square", s, n, p, 0 if n < 2 * s else None, values)
 
-    result = {"ok": all_ok, "primes": primes, "seeds": seeds, "rows": rows}
+    ok = all(row["ok"] for row in rows)
+    result = {"ok": ok, "primes": primes, "seeds": seeds, "rows": rows}
     inputs = {"max_s": args.max_s, "max_n": args.max_n}
-    return Report("verify", inputs, result), EXIT_OK if all_ok else EXIT_ORACLE_MISMATCH
-
-
-_HANDLERS = {
-    "surface": _cmd_surface,
-    "curve": _cmd_curve,
-    "construct": _cmd_construct,
-    "intervals": _cmd_intervals,
-    "thresholds": _cmd_thresholds,
-    "natural": _cmd_natural,
-    "verify": _cmd_verify,
-}
+    return inputs, result, EXIT_OK if ok else EXIT_ORACLE_MISMATCH
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -408,50 +332,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=["text", "json", "csv"], default="text")
-        p.add_argument("--output", type=Path, default=None, metavar="FILE",
-                       help="also write the report to FILE")
+    def command(name, handler, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("surface", help="Hilbert polynomial of a hypersurface")
+    p = command("surface", _cmd_surface, "Hilbert polynomial of a hypersurface")
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--c2", type=int, default=None)
     p.add_argument("--n-min", type=int, default=-2)
     p.add_argument("--n-max", type=int, default=6)
-    common(p)
 
-    p = sub.add_parser("curve", help="cohomology tables of a determinantal curve")
+    p = command("curve", _cmd_curve, "cohomology tables of a determinantal curve")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--n-min", type=int, default=-2)
     p.add_argument("--n-max", type=int, default=None)
-    common(p)
 
-    p = sub.add_parser("construct", help="construction certificate at (delta, s, sigma)")
+    p = command("construct", _cmd_construct, "construction certificate at (delta, s, sigma)")
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--s", type=int, default=None)
     p.add_argument("--sigma", type=int, default=None)
-    common(p)
 
-    p = sub.add_parser("intervals", help="c2 intervals of the component catalog")
+    p = command("intervals", _cmd_intervals, "c2 intervals of the component catalog")
     p.add_argument("--delta", type=int, required=True)
-    common(p)
 
-    p = sub.add_parser("thresholds", help="parity thresholds of the interval catalog")
-    common(p)
+    command("thresholds", _cmd_thresholds, "parity thresholds of the interval catalog")
 
-    p = sub.add_parser("natural", help="natural-cohomology Hilbert profile")
+    p = command("natural", _cmd_natural, "natural-cohomology Hilbert profile")
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--c2", type=int, required=True)
     p.add_argument("--n-min", type=int, default=None)
     p.add_argument("--n-max", type=int, default=None)
-    common(p)
 
-    p = sub.add_parser("verify", help="brute-force oracle cross-checks")
+    p = command("verify", _cmd_verify, "brute-force oracle cross-checks")
     p.add_argument("--max-s", type=int, default=4)
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--prime", type=int, action="append", default=None)
     p.add_argument("--seed", type=int, action="append", default=None)
-    common(p)
+
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=["text", "json", "csv"], default="text")
+        p.add_argument("--output", type=Path, default=None, metavar="FILE",
+                       help="also write the report to FILE")
 
     return parser
 
@@ -463,7 +385,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        report, code = _HANDLERS[args.command](args)
+        inputs, result, code = args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -473,6 +395,12 @@ def run(argv=None) -> int:
     except (ValueError, RuntimeError) as exc:  # a library bug or failed self-check
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    report = {
+        "version": FORMAT_VERSION,
+        "command": args.command,
+        "inputs": encode(inputs),
+        "result": encode(result),
+    }
     rendered = RENDERERS[args.format](report)
     sys.stdout.write(rendered)
     if args.output is not None:

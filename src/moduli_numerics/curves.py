@@ -117,8 +117,7 @@ def h_curve_structure(curve: DeterminantalCurve, i: int, n: int) -> int:
     """
     if i not in (0, 1):
         raise PreconditionError(f"curve cohomology index must be 0 or 1, got {i}")
-    h0_ideal_n = h_free_sum(0, curve.generators, n) - h_free_sum(0, curve.syzygies, n)
-    h0 = h_line(0, n) - h0_ideal_n
+    h0 = h_line(0, n) - h_ideal(curve, 0, n)
     if h0 < 0:
         raise RuntimeError(f"negative h^0(O_C({n})) = {h0} for s={curve.s}")
     if i == 0:

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .arith import PreconditionError
 from .curves import DeterminantalCurve, curve_invariants, determinantal_curve, h_ideal
-from .surfaces import expected_dim, hypersurface
+from .surfaces import check_degree, expected_dim, hypersurface
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
@@ -157,8 +157,7 @@ def certificate(delta: int, s: int, sigma: int) -> ConstructionCertificate:
     evaluated and reported, so the checker extends unchanged to curve data
     with a finite range.
     """
-    if delta < 4:
-        raise PreconditionError(f"hypersurface degree must be >= 4, got {delta}")
+    check_degree(delta)
     if s < 1:
         raise PreconditionError(f"determinantal parameter must be >= 1, got {s}")
     if sigma < 1:
@@ -243,8 +242,7 @@ def optimal_parameters(delta: int) -> OptimalParameters:
     form and the goodness of the certificate are checked; a failure raises
     RuntimeError.
     """
-    if delta < 4:
-        raise PreconditionError(f"hypersurface degree must be >= 4, got {delta}")
+    check_degree(delta)
     s = delta - 2 if delta % 2 == 0 else delta - 3
     sigma = s // 2
     c2_min = delta * sigma * (sigma + 1)
@@ -312,8 +310,7 @@ def _label(label: IntervalLabel | str) -> IntervalLabel:
 def interval_for(label: IntervalLabel | str, delta: int) -> ComponentInterval:
     """The catalog interval ``label`` at hypersurface degree ``delta``."""
     label = _label(label)
-    if delta < 4:
-        raise PreconditionError(f"hypersurface degree must be >= 4, got {delta}")
+    check_degree(delta)
     lower, upper, lower_closed, upper_closed, stable_unknown, least_delta = _CATALOG[label]
     return ComponentInterval(
         label=label,

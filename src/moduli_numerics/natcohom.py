@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import PreconditionError
-from .surfaces import SurfaceNumerics, chi_E, chi_OX, chi_OX_poly, hypersurface
+from .surfaces import SurfaceNumerics, chi_E, chi_OX, chi_OX_poly, check_degree, hypersurface
 
 
 def beta_for_hypersurface(delta: int) -> int:
@@ -24,8 +24,7 @@ def beta_for_hypersurface(delta: int) -> int:
     Equals 3*delta/2 - 3 for even delta and (3*delta - 7)/2 for odd delta,
     and always sits at or above the Serre-duality midpoint k/2.
     """
-    if delta < 4:
-        raise PreconditionError(f"hypersurface degree must be >= 4, got {delta}")
+    check_degree(delta)
     return (3 * delta - 8) // 2 + 1
 
 
@@ -44,8 +43,7 @@ def natural_cohomology_threshold(delta: int) -> Fraction:
     upper bound for gamma because the polynomial increases beyond k/2.  Both
     facts are checked, and a failed check raises RuntimeError.
     """
-    if delta < 4:
-        raise PreconditionError(f"hypersurface degree must be >= 4, got {delta}")
+    check_degree(delta)
     value = Fraction(13 * delta**3 - 24 * delta**2 + 8 * delta, 12)
     surface = hypersurface(delta)
     if value != 2 * chi_OX_poly(surface, Fraction(3 * delta - 6, 2)):

@@ -38,14 +38,19 @@ class SurfaceNumerics:
             )
 
 
+def check_degree(delta: int) -> None:
+    """The input check shared by every function of a hypersurface degree: delta >= 4."""
+    if delta < 4:
+        raise PreconditionError(f"hypersurface degree must be >= 4, got {delta}")
+
+
 def hypersurface(delta: int) -> SurfaceNumerics:
     """Numerics of a smooth degree-delta hypersurface in P^3, delta >= 4.
 
     The canonical twist is delta - 4; chi(O_X) follows from the restriction
     sequence of O on P^3: 1 - chi(O(-delta)) = 1 + C(delta-1, 3).
     """
-    if delta < 4:
-        raise PreconditionError(f"hypersurface degree must be >= 4, got {delta}")
+    check_degree(delta)
     return SurfaceNumerics(
         h_square=delta,
         k=delta - 4,
@@ -57,7 +62,8 @@ def hypersurface(delta: int) -> SurfaceNumerics:
 def chi_OX(surface: SurfaceNumerics, n: int) -> int:
     """chi(O_X(n)) by Riemann-Roch: chi0 + H^2 * n(n-k)/2."""
     twice = surface.h_square * n * (n - surface.k)
-    assert twice % 2 == 0
+    if twice % 2 != 0:
+        raise RuntimeError(f"H^2 * n(n-k) = {twice} is odd at n={n}, against adjunction parity")
     return surface.chi0 + twice // 2
 
 

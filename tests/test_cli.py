@@ -223,8 +223,14 @@ COMMANDS = [
 @pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: a[0])
 def test_json_round_trip(argv):
     args = cli.build_parser().parse_args(argv + ["--format", "json"])
-    report, _ = cli._HANDLERS[args.command](args)
-    assert json.loads(cli.render_json(report)) == report.to_dict()
+    inputs, result, _ = args.handler(args)
+    report = {
+        "version": cli.FORMAT_VERSION,
+        "command": args.command,
+        "inputs": cli.encode(inputs),
+        "result": cli.encode(result),
+    }
+    assert json.loads(cli.render_json(report)) == report
 
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: a[0])

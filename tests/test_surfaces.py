@@ -1,11 +1,14 @@
 """Hypersurface Hilbert-polynomial numerics and their dualities."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import moduli_numerics
 from moduli_numerics.arith import binom_poly
 from moduli_numerics.surfaces import (
     SurfaceNumerics,
@@ -85,3 +88,24 @@ def test_validation():
     # h_square * (k + 1) odd cannot come from a polarized surface
     with pytest.raises(ValueError):
         SurfaceNumerics(h_square=3, k=2, chi0=1)
+
+
+def test_chi_OX_parity_check_raises_runtime_error():
+    # Construction refuses odd H^2 * (k + 1); a tampered surface must still not
+    # yield a silently floored chi, also under python -O.
+    surface = hypersurface(5)
+    object.__setattr__(surface, "k", 0)
+    with pytest.raises(RuntimeError, match="adjunction parity"):
+        chi_OX(surface, 1)
+
+
+def test_no_bare_assert_in_package():
+    # python -O strips assert statements, so no library check may be one.
+    package = Path(moduli_numerics.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
