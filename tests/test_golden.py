@@ -33,6 +33,7 @@ CALLS = [
     ["natural", "--delta", "7", "--c2", "400", "--n-min", "-3", "--n-max", "9"],
     ["verify", "--max-s", "2", "--prime", "101", "--seed", "1", "--seed", "2", "--seed", "3"],
     ["verify", "--max-s", "1", "--max-n", "2"],
+    ["verify", "--max-s", "3"],
     ["curve", "--s", "0"],
     ["natural", "--delta", "4", "--c2", "40"],
     ["construct", "--delta", "4", "--s", "2"],
