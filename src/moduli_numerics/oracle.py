@@ -24,7 +24,7 @@ from .arith import PreconditionError
 Exponent = tuple[int, int, int, int]
 Poly = dict[Exponent, int]
 
-_MAX_PRIME = 2**31  # keeps pivot products inside int64
+_MAX_PRIME = 2**31  # leaves int64 room for at least two unreduced rank updates
 
 
 def _require_prime(p: int) -> None:
@@ -56,7 +56,7 @@ def h0_line_oracle(n: int) -> int:
 
 @dataclass
 class FiniteFieldMatrix:
-    """A dense matrix over Z/p with a naive vectorized row-echelon rank."""
+    """A dense matrix over Z/p whose rank is taken by int64 row elimination."""
 
     p: int
     entries: np.ndarray = field(repr=False)
@@ -77,26 +77,40 @@ class FiniteFieldMatrix:
         return self.entries.shape[1]
 
     def rank(self) -> int:
-        """Gaussian elimination, eliminating below each pivot only."""
+        """Gaussian elimination below each pivot, with delayed reduction mod p.
+
+        Rows are first stable-sorted by leading column.  Each pivot reads its
+        column and row mod p, so an update subtracts at most (p-1)^2 from an
+        entry; the block below is reduced only after as many unreduced updates
+        as int64 can absorb (2 at p = 2^31 - 1, vastly more for small p).
+        """
         p = self.p
-        a = self.entries.copy()
+        a = self.entries
         nrows, ncols = a.shape
+        # A trailing all-true column gives a zero row the leading column ncols.
+        lead = np.argmax(np.column_stack([a != 0, np.ones(nrows, dtype=bool)]), axis=1)
+        a = a[np.argsort(lead, kind="stable")]
+        budget = (2**63 - 1 - p) // (p - 1) ** 2
+        pending = 0
         r = 0
         for c in range(ncols):
             if r == nrows:
                 break
-            nz = np.nonzero(a[r:, c])[0]
+            column = a[r:, c] % p
+            nz = np.flatnonzero(column)
             if nz.size == 0:
                 continue
             pivot = r + int(nz[0])
             if pivot != r:
                 a[[r, pivot]] = a[[pivot, r]]
-            inv = pow(int(a[r, c]), -1, p)
-            a[r, c:] = (a[r, c:] * inv) % p
-            below = np.nonzero(a[r + 1 :, c])[0]
-            if below.size:
-                idx = below + r + 1
-                a[idx, c:] = (a[idx, c:] - np.outer(a[idx, c], a[r, c:])) % p
+            row = a[r, c:] % p
+            row = row * pow(int(row[0]), -1, p) % p
+            if nz.size > 1:
+                a[r + nz[1:], c:] -= np.outer(column[nz[1:]], row)
+                pending += 1
+                if pending == budget:
+                    a[r + 1 :, c:] %= p
+                    pending = 0
             r += 1
         return r
 
@@ -147,21 +161,32 @@ def _maximal_minors(s: int, p: int, seed: int) -> tuple[Poly, ...]:
     return tuple(minors)
 
 
+def _macaulay_matrix(forms: Sequence[Poly], shift_degree: int, total_degree: int) -> np.ndarray:
+    """Coefficient rows of {form * monomial} over the degree-``total_degree`` monomials.
+
+    Row ``i * len(multipliers) + j`` is forms[i] times monomials(shift_degree)[j];
+    columns follow monomials(total_degree).
+    """
+    multipliers = np.array(monomials(shift_degree), dtype=np.intp).reshape(-1, 4)
+    basis = np.array(monomials(total_degree), dtype=np.intp).reshape(-1, 4)
+    # An exponent of degree d is fixed by its first three entries.
+    column_of = np.zeros((total_degree + 1,) * 3, dtype=np.intp)
+    column_of[basis[:, 0], basis[:, 1], basis[:, 2]] = np.arange(len(basis))
+    owner = np.array([i for i, form in enumerate(forms) for _ in form], dtype=np.intp)
+    exponents = np.array([e for form in forms for e in form], dtype=np.intp).reshape(-1, 4)
+    coefficients = np.array([c for form in forms for c in form.values()], dtype=np.int64)
+    shifted = multipliers[:, None, :] + exponents[None, :, :]
+    rows = owner[None, :] * len(multipliers) + np.arange(len(multipliers))[:, None]
+    matrix = np.zeros((len(forms) * len(multipliers), len(basis)), dtype=np.int64)
+    matrix[rows, column_of[shifted[..., 0], shifted[..., 1], shifted[..., 2]]] = coefficients
+    return matrix
+
+
 def _span_rank(forms: Sequence[Poly], shift_degree: int, total_degree: int, p: int) -> int:
     """Rank of {form * monomial} inside the degree-``total_degree`` space."""
-    multipliers = monomials(shift_degree)
-    basis = {mon: idx for idx, mon in enumerate(monomials(total_degree))}
-    if not multipliers or not forms:
+    if shift_degree < 0 or not forms:
         return 0
-    rows = np.zeros((len(forms) * len(multipliers), len(basis)), dtype=np.int64)
-    r = 0
-    for form in forms:
-        for mu in multipliers:
-            for e, c in form.items():
-                shifted = (e[0] + mu[0], e[1] + mu[1], e[2] + mu[2], e[3] + mu[3])
-                rows[r, basis[shifted]] = c
-            r += 1
-    return FiniteFieldMatrix(p, rows).rank()
+    return FiniteFieldMatrix(p, _macaulay_matrix(forms, shift_degree, total_degree)).rank()
 
 
 def h0_ideal_oracle(s: int, n: int, p: int, seed: int) -> int:

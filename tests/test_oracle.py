@@ -1,6 +1,7 @@
 """Finite-field oracles: the rank kernel and the minor-span measurements."""
 
 from itertools import combinations, permutations
+from random import Random
 
 import numpy as np
 import pytest
@@ -11,6 +12,9 @@ from moduli_numerics.arith import binom_trunc
 from moduli_numerics.curves import determinantal_curve, h_ideal
 from moduli_numerics.oracle import (
     FiniteFieldMatrix,
+    _macaulay_matrix,
+    _maximal_minors,
+    _poly_mul,
     h0_ideal_oracle,
     h0_ideal_square_oracle,
     h0_line_oracle,
@@ -73,6 +77,103 @@ def test_rank_against_minor_oracle(m, n, data):
     )
     got = FiniteFieldMatrix(p, np.array(entries)).rank()
     assert got == _rank_by_minors(entries, p)
+
+
+def _rank_reference(entries, p):
+    """Row-echelon rank over Z/p that reduces the whole trailing block after every pivot."""
+    a = np.array(entries, dtype=np.int64).reshape(len(entries), -1) % p
+    nrows, ncols = a.shape
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pivot = r + int(nz[0])
+        if pivot != r:
+            a[[r, pivot]] = a[[pivot, r]]
+        inv = pow(int(a[r, c]), -1, p)
+        a[r, c:] = (a[r, c:] * inv) % p
+        below = np.nonzero(a[r + 1 :, c])[0]
+        if below.size:
+            idx = below + r + 1
+            a[idx, c:] = (a[idx, c:] - np.outer(a[idx, c], a[r, c:])) % p
+        r += 1
+    return r
+
+
+def _low_rank(rng, m, n, k, p):
+    """An m x n matrix over Z/p of rank at most k, as Python ints."""
+    left = [[rng.randrange(p) for _ in range(k)] for _ in range(m)]
+    right = [[rng.randrange(p) for _ in range(n)] for _ in range(k)]
+    return [[sum(row[t] * right[t][j] for t in range(k)) % p for j in range(n)] for row in left]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([2, 3, 101, 32003, 2**31 - 1]),
+    st.integers(1, 24),
+    st.integers(1, 24),
+    st.integers(0, 24),
+    st.integers(0, 2**32),
+    st.lists(st.integers(0, 23), max_size=6),
+    st.lists(st.integers(0, 23), max_size=6),
+)
+def test_rank_matches_reference_kernel(p, m, n, k, seed, zero_at, repeat_at):
+    rng = Random(seed)
+    entries = _low_rank(rng, m, n, k, p)
+    for i in zero_at:
+        entries.insert(i % (len(entries) + 1), [0] * n)
+    for i in repeat_at:
+        entries.insert(i % (len(entries) + 1), list(entries[i % len(entries)]))
+    assert FiniteFieldMatrix(p, np.array(entries)).rank() == _rank_reference(entries, p)
+
+
+def test_rank_near_int64_limit():
+    # At the largest accepted prime int64 absorbs only two unreduced updates;
+    # a kernel that delays reduction further overflows on these matrices.
+    p = 2**31 - 1
+    for k in (2, 3, 5):
+        entries = _low_rank(Random(k), 12, 10, k, p)
+        assert _rank_reference(entries, p) == k
+        assert FiniteFieldMatrix(p, np.array(entries)).rank() == k
+
+
+def test_rank_leaves_entries_unchanged():
+    entries = np.array([[0, 3, 1], [2, 0, 5], [0, 0, 7], [4, 0, 10]])
+    matrix = FiniteFieldMatrix(11, entries)
+    before = matrix.entries.copy()
+    assert matrix.rank() == _rank_reference(entries.tolist(), 11) == 3
+    assert np.array_equal(matrix.entries, before)
+
+
+def _macaulay_reference(forms, shift_degree, total_degree):
+    multipliers = monomials(shift_degree)
+    basis = {mon: idx for idx, mon in enumerate(monomials(total_degree))}
+    rows = np.zeros((len(forms) * len(multipliers), len(basis)), dtype=np.int64)
+    r = 0
+    for form in forms:
+        for mu in multipliers:
+            for e, c in form.items():
+                shifted = (e[0] + mu[0], e[1] + mu[1], e[2] + mu[2], e[3] + mu[3])
+                rows[r, basis[shifted]] = c
+            r += 1
+    return rows
+
+
+def test_macaulay_matrix_matches_dict_loop():
+    for s in (1, 2, 3):
+        for p in (101, 32003):
+            minors = _maximal_minors(s, p, 1)
+            products = [_poly_mul(f, g, p) for i, f in enumerate(minors) for g in minors[i:]]
+            for n in range(s, 3 * s + 1):
+                built = _macaulay_matrix(minors, n - s, n)
+                assert built.dtype == np.int64
+                assert np.array_equal(built, _macaulay_reference(minors, n - s, n)), (s, p, n)
+                if n >= 2 * s:
+                    built = _macaulay_matrix(products, n - 2 * s, n)
+                    assert np.array_equal(built, _macaulay_reference(products, n - 2 * s, n))
 
 
 def test_rank_edge_cases():
