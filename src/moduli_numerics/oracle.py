@@ -167,8 +167,8 @@ def _macaulay_matrix(forms: Sequence[Poly], shift_degree: int, total_degree: int
     Row ``i * len(multipliers) + j`` is forms[i] times monomials(shift_degree)[j];
     columns follow monomials(total_degree).
     """
-    multipliers = np.array(monomials(shift_degree), dtype=np.intp).reshape(-1, 4)
-    basis = np.array(monomials(total_degree), dtype=np.intp).reshape(-1, 4)
+    multipliers = np.array(monomials(shift_degree), dtype=np.intp)
+    basis = np.array(monomials(total_degree), dtype=np.intp)
     # An exponent of degree d is fixed by its first three entries.
     column_of = np.zeros((total_degree + 1,) * 3, dtype=np.intp)
     column_of[basis[:, 0], basis[:, 1], basis[:, 2]] = np.arange(len(basis))

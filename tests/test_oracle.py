@@ -148,6 +148,11 @@ def test_rank_leaves_entries_unchanged():
     assert np.array_equal(matrix.entries, before)
 
 
+def test_rank_of_empty_matrices():
+    for shape in ((3, 0), (0, 3), (0, 0)):
+        assert FiniteFieldMatrix(101, np.zeros(shape, dtype=np.int64)).rank() == 0
+
+
 def _macaulay_reference(forms, shift_degree, total_degree):
     multipliers = monomials(shift_degree)
     basis = {mon: idx for idx, mon in enumerate(monomials(total_degree))}
