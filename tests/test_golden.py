@@ -37,6 +37,9 @@ CALLS = [
     ["curve", "--s", "0"],
     ["natural", "--delta", "4", "--c2", "40"],
     ["construct", "--delta", "4", "--s", "2"],
+    ["curve", "--s", "40", "--n-min", "36", "--n-max", "40"],
+    ["construct", "--delta", "41"],
+    ["intervals", "--delta", "800"],
 ]
 CASES = {
     "_".join(a.lstrip("-") for a in argv): argv
