@@ -23,7 +23,7 @@ from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 
-from .arith import PreconditionError, binom_trunc
+from .arith import PreconditionError
 from .curves import curve_invariants, determinantal_curve, h_curve_structure, h_ideal
 from .moduli import (
     ComponentInterval,
@@ -31,9 +31,10 @@ from .moduli import (
     certificate,
     interval_for,
     min_delta_nonempty,
-    optimal_parameters,
+    optimal_certificate,
 )
 from .natcohom import hilbert_profile, natural_cohomology_threshold
+from .p3cohom import h_line
 from .surfaces import chi_E, chi_OX, expected_dim, hypersurface
 
 FORMAT_VERSION = "moduli-numerics/1"
@@ -199,12 +200,10 @@ def _cmd_construct(args) -> tuple[dict, dict, int]:
     if (args.s is None) != (args.sigma is None):
         raise _UsageError("--s and --sigma must be given together or both omitted")
     if args.s is None:
-        params = optimal_parameters(args.delta)
-        s, sigma = params.s, params.sigma
+        cert = optimal_certificate(args.delta)
     else:
-        s, sigma = args.s, args.sigma
-    cert = certificate(args.delta, s, sigma)
-    curve = determinantal_curve(s)
+        cert = certificate(args.delta, args.s, args.sigma)
+    curve = determinantal_curve(cert.s)
     result = {
         "s": cert.s,
         "sigma": cert.sigma,
@@ -305,7 +304,7 @@ def _cmd_verify(args) -> tuple[dict, dict, int]:
         )
 
     for n in range(0, 16):
-        check("h0_line", None, n, None, binom_trunc(n + 3, 3), [h0_line_oracle(n)])
+        check("h0_line", None, n, None, h_line(0, n), [h0_line_oracle(n)])
 
     for s in range(1, args.max_s + 1):
         curve = determinantal_curve(s)

@@ -21,7 +21,13 @@ from enum import Enum
 from fractions import Fraction
 
 from .arith import PreconditionError
-from .curves import DeterminantalCurve, curve_invariants, determinantal_curve, h_ideal
+from .curves import (
+    DeterminantalCurve,
+    check_parameter,
+    curve_invariants,
+    determinantal_curve,
+    h_ideal,
+)
 from .surfaces import check_degree, expected_dim, hypersurface
 
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -158,8 +164,7 @@ def certificate(delta: int, s: int, sigma: int) -> ConstructionCertificate:
     with a finite range.
     """
     check_degree(delta)
-    if s < 1:
-        raise PreconditionError(f"determinantal parameter must be >= 1, got {s}")
+    check_parameter(s)
     if sigma < 1:
         raise PreconditionError(f"twist sigma must be >= 1, got {sigma}")
 
@@ -234,24 +239,26 @@ def _c2_min(delta: int) -> Fraction:
     return Fraction(delta * (delta - 1) * (delta - 3), 4)
 
 
-def optimal_parameters(delta: int) -> OptimalParameters:
-    """The parameter choice that reaches the smallest certified c2.
+def optimal_certificate(delta: int) -> ConstructionCertificate:
+    """The certificate at the parameter choice that reaches the smallest certified c2.
 
-    s = delta - 2 for even delta, delta - 3 for odd delta, sigma = s/2; then
-    c2 = delta * sigma * (sigma + 1).  Agreement with the parity-split closed
-    form and the goodness of the certificate are checked; a failure raises
-    RuntimeError.
+    s = delta - 2 for even delta, delta - 3 for odd delta, sigma = s/2.  Its
+    c2 is checked against the parity-split closed form and its goodness is
+    checked; a failure raises RuntimeError.
     """
-    check_degree(delta)
     s = delta - 2 if delta % 2 == 0 else delta - 3
-    sigma = s // 2
-    c2_min = delta * sigma * (sigma + 1)
-    if c2_min != _c2_min(delta):
-        raise RuntimeError(f"c2_min {c2_min} at delta={delta} differs from its closed form")
-    cert = certificate(delta, s, sigma)
-    if not (cert.good and cert.c2 == c2_min):
+    cert = certificate(delta, s, s // 2)
+    if cert.c2 != _c2_min(delta):
+        raise RuntimeError(f"c2_min {cert.c2} at delta={delta} differs from its closed form")
+    if not cert.good:
         raise RuntimeError(f"optimal parameters not certified at delta={delta}: {cert}")
-    return OptimalParameters(s=s, sigma=sigma, c2_min=c2_min)
+    return cert
+
+
+def optimal_parameters(delta: int) -> OptimalParameters:
+    """(s, sigma, c2) of ``optimal_certificate(delta)``."""
+    cert = optimal_certificate(delta)
+    return OptimalParameters(s=cert.s, sigma=cert.sigma, c2_min=cert.c2)
 
 
 def _twisted_general_position_upper(delta: int) -> Fraction:

@@ -13,13 +13,15 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import combinations_with_replacement
 from random import Random
 from typing import Sequence
 
 import numpy as np
 
 from .arith import PreconditionError
+from .curves import check_parameter
 
 Exponent = tuple[int, int, int, int]
 Poly = dict[Exponent, int]
@@ -182,41 +184,35 @@ def _macaulay_matrix(forms: Sequence[Poly], shift_degree: int, total_degree: int
     return matrix
 
 
-def _span_rank(forms: Sequence[Poly], shift_degree: int, total_degree: int, p: int) -> int:
-    """Rank of {form * monomial} inside the degree-``total_degree`` space."""
-    if shift_degree < 0 or not forms:
+def _power_rank(s: int, n: int, p: int, seed: int, power: int) -> int:
+    """Degree-n dimension of the ``power``-th power of the minor ideal, as a rank.
+
+    Its forms are the products of ``power`` minors, of degree exactly
+    power * s, so the value is 0 for every n below that.
+    """
+    _require_prime(p)
+    check_parameter(s)
+    if n < power * s:
         return 0
-    return FiniteFieldMatrix(p, _macaulay_matrix(forms, shift_degree, total_degree)).rank()
+    forms = [
+        reduce(lambda f, g: _poly_mul(f, g, p), factors)
+        for factors in combinations_with_replacement(_maximal_minors(s, p, seed), power)
+    ]
+    return FiniteFieldMatrix(p, _macaulay_matrix(forms, n - power * s, n)).rank()
 
 
 def h0_ideal_oracle(s: int, n: int, p: int, seed: int) -> int:
     """h^0(J(n)) measured as the rank of degree-n multiples of the minors."""
-    _require_prime(p)
-    if s < 1:
-        raise PreconditionError(f"determinantal parameter must be >= 1, got {s}")
-    if n < s:
-        return 0
-    return _span_rank(_maximal_minors(s, p, seed), n - s, n, p)
+    return _power_rank(s, n, p, seed, 1)
 
 
 def h0_ideal_square_oracle(s: int, n: int, p: int, seed: int) -> int:
     """Degree-n dimension of the square of the minor ideal, measured as a rank.
 
-    The products of two minors have degree exactly 2s, so the value is 0 for
-    every n < 2s; values at n >= 2s are measurements, recorded as found.
+    The value is 0 for every n < 2s; values at n >= 2s are measurements,
+    recorded as found.
     """
-    _require_prime(p)
-    if s < 1:
-        raise PreconditionError(f"determinantal parameter must be >= 1, got {s}")
-    if n < 2 * s:
-        return 0
-    minors = _maximal_minors(s, p, seed)
-    products = [
-        _poly_mul(minors[i], minors[j], p)
-        for i in range(len(minors))
-        for j in range(i, len(minors))
-    ]
-    return _span_rank(products, n - 2 * s, n, p)
+    return _power_rank(s, n, p, seed, 2)
 
 
 def majority(values: Sequence[int]) -> int | None:

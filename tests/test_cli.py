@@ -32,6 +32,22 @@ def test_construct_defaults_from_optimal_parameters(capsys):
     assert result["good"] is True and result["stable"] is True
 
 
+def test_construct_evaluates_certificate_once(capsys, monkeypatch):
+    # cli binds its own name for certificate, so count calls through both bindings.
+    calls = []
+    real = moduli.certificate
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(moduli, "certificate", counting)
+    monkeypatch.setattr(cli, "certificate", counting)
+    code, _, _ = run_cli(capsys, ["construct", "--delta", "9"])
+    assert code == 0
+    assert calls == [(9, 6, 3)]
+
+
 def test_intervals_json(capsys):
     code, out, _ = run_cli(capsys, ["intervals", "--delta", "28", "--format", "json"])
     assert code == 0

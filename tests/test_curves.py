@@ -14,7 +14,7 @@ from moduli_numerics.curves import (
     h_curve_structure,
     h_ideal,
 )
-from moduli_numerics.p3cohom import h_free_sum, h_line
+from moduli_numerics.p3cohom import FreeSheafSum, h_free_sum, h_line
 
 
 def test_degree_genus_small():
@@ -96,14 +96,27 @@ def test_e_of_c_matches_riemann_roch_scan():
 
 @pytest.mark.parametrize("s", [10, 50, 200])
 def test_e_of_c_scan_makes_constant_work(monkeypatch, s):
+    # Table calls made by curve_invariants itself; the h_ideal call nested
+    # inside h_curve_structure is not counted twice.
     calls = []
-    real = curves.h_curve_structure
+    depth = [0]
 
-    def counting(curve, i, n):
-        calls.append(n)
-        return real(curve, i, n)
+    def counting(name):
+        real = getattr(curves, name)
 
-    monkeypatch.setattr(curves, "h_curve_structure", counting)
+        def wrapper(curve, i, n):
+            if depth[0] == 0:
+                calls.append((name, i, n))
+            depth[0] += 1
+            try:
+                return real(curve, i, n)
+            finally:
+                depth[0] -= 1
+
+        return wrapper
+
+    for name in ("h_curve_structure", "h_ideal"):
+        monkeypatch.setattr(curves, name, counting(name))
     assert curve_invariants(determinantal_curve(s)).e_of_c == s - 3
     assert len(calls) <= 4, calls
 
@@ -113,6 +126,28 @@ def test_tampered_genus_raises_runtime_error(shift):
     curve = determinantal_curve(5)
     tampered = dataclasses.replace(curve, genus=curve.genus + shift)
     with pytest.raises(RuntimeError, match="s=5"):
+        curve_invariants(tampered)
+
+
+@pytest.mark.parametrize("s", [1, 5, 40])
+@pytest.mark.parametrize("shift", [1, -1])
+def test_tampered_resolution_raises_runtime_error(s, shift):
+    # Generators one twist off move the first surface through the curve to s -/+ 1.
+    curve = determinantal_curve(s)
+    tampered = dataclasses.replace(curve, generators=FreeSheafSum.of([(-s + shift, s + 1)]))
+    with pytest.raises(RuntimeError, match=f"s={s}"):
+        curve_invariants(tampered)
+
+
+@pytest.mark.parametrize("s", [2, 5, 40])
+def test_tampered_degree_and_genus_raise_runtime_error(s):
+    # Shifts h^1(O_C(n)) by s * (n - s + 2): still 0 at s - 2, now also 0 at s - 3.
+    curve = determinantal_curve(s)
+    tampered = dataclasses.replace(
+        curve, degree=curve.degree - s, genus=curve.genus - s * (s - 2)
+    )
+    assert h_curve_structure(tampered, 1, s - 2) == 0 == h_curve_structure(tampered, 1, s - 3)
+    with pytest.raises(RuntimeError, match=f"s={s}"):
         curve_invariants(tampered)
 
 

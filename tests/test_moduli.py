@@ -112,6 +112,18 @@ def test_optimal_parameters_rejects_uncertified_choice(monkeypatch):
         optimal_parameters(6)
 
 
+def test_optimal_certificate_rejects_c2_off_closed_form(monkeypatch):
+    real = moduli.certificate
+
+    def off_by_one(*args):
+        cert = real(*args)
+        return dataclasses.replace(cert, c2=cert.c2 + 1)
+
+    monkeypatch.setattr(moduli, "certificate", off_by_one)
+    with pytest.raises(RuntimeError, match="differs from its closed form"):
+        moduli.optimal_certificate(6)
+
+
 def test_ogrady_interval_at_14():
     interval = ogrady_interval(14)
     assert (interval.lower, interval.upper) == (Fraction(441), Fraction(447))
