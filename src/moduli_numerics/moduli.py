@@ -15,8 +15,9 @@ or both at once (two_component and its semistable and odd-c1 variants).
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 
@@ -54,8 +55,9 @@ class ConstructionCertificate:
     cond_f: h^0(J^2(2*sigma + delta - 4)) = 0, certified by 2*sigma + delta - 4 < jsq_bound.
     cond_g: h^0(N*(2*sigma - 4)) = 0, certified by 2*sigma - 4 < nstar_bound.
 
-    A failed condition only means "not certified by this criterion", never a
-    disproof, so the checker returns a verdict object instead of raising.
+    ``stable`` is cond_b alone and ``good`` is all seven together.  A failed
+    condition only means "not certified by this criterion", never a disproof,
+    so the checker returns a verdict object instead of raising.
     """
 
     delta: int
@@ -68,21 +70,19 @@ class ConstructionCertificate:
     cond_e: bool
     cond_f: bool
     cond_g: bool
-    stable: bool
-    good: bool
     c2: int
     exp_dim: int
 
     def conditions(self) -> dict[str, bool]:
-        return {
-            "cond_a": self.cond_a,
-            "cond_b": self.cond_b,
-            "cond_c": self.cond_c,
-            "cond_d": self.cond_d,
-            "cond_e": self.cond_e,
-            "cond_f": self.cond_f,
-            "cond_g": self.cond_g,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name.startswith("cond_")}
+
+    @property
+    def stable(self) -> bool:
+        return self.cond_b
+
+    @property
+    def good(self) -> bool:
+        return all(self.conditions().values())
 
 
 @dataclass(frozen=True)
@@ -171,29 +171,18 @@ def certificate(delta: int, s: int, sigma: int) -> ConstructionCertificate:
     curve = determinantal_curve(s)
     inv = curve_invariants(curve)
 
-    cond_a = 2 * sigma - 4 <= inv.e_of_c
-    cond_b = sigma < inv.s_of_c and sigma - delta < inv.t_of_c
-    cond_c = delta - 4 < 2 * sigma
-    cond_d = delta - 4 < inv.s_of_c
-    cond_e = 2 * sigma - 4 <= inv.t_of_c
-    cond_f = 2 * sigma + delta - 4 < inv.jsq_bound
-    cond_g = 2 * sigma - 4 < inv.nstar_bound
-
     c2 = delta * (curve.degree - sigma * sigma)
-    good = cond_a and cond_b and cond_c and cond_d and cond_e and cond_f and cond_g
     return ConstructionCertificate(
         delta=delta,
         s=s,
         sigma=sigma,
-        cond_a=cond_a,
-        cond_b=cond_b,
-        cond_c=cond_c,
-        cond_d=cond_d,
-        cond_e=cond_e,
-        cond_f=cond_f,
-        cond_g=cond_g,
-        stable=cond_b,
-        good=good,
+        cond_a=2 * sigma - 4 <= inv.e_of_c,
+        cond_b=sigma < inv.s_of_c and sigma - delta < inv.t_of_c,
+        cond_c=delta - 4 < 2 * sigma,
+        cond_d=delta - 4 < inv.s_of_c,
+        cond_e=2 * sigma - 4 <= inv.t_of_c,
+        cond_f=2 * sigma + delta - 4 < inv.jsq_bound,
+        cond_g=2 * sigma - 4 < inv.nstar_bound,
         c2=c2,
         exp_dim=expected_dim(hypersurface(delta), c2),
     )
@@ -351,30 +340,39 @@ def odd_c1_interval(delta: int) -> ComponentInterval:
     return interval_for(IntervalLabel.ODD_C1_TWO_COMPONENT, delta)
 
 
-def min_delta_nonempty(
-    label: IntervalLabel | str, parity: str = "any", scan_limit: int = 400
-) -> int:
+def min_delta_nonempty(label: IntervalLabel | str, parity: str = "any") -> int:
     """Smallest delta of the given parity from which the interval always holds an integer.
 
-    The upper endpoint grows cubically against the quadratic lower one, so
-    past some degree every interval contains integers; this returns the first
-    delta after the largest empty one.  A first-hit search would be wrong:
-    low degrees can be accidentally nonempty (the odd-c1 interval at delta=4
-    is [4, 5) and holds 4) while later ones of the same parity are empty
-    again.  The scan insists on a wide clean tail below ``scan_limit`` so the
-    cubic growth has visibly taken over.
+    This is the delta after the largest empty one.  A first-hit search would
+    be wrong: low degrees can be accidentally nonempty (the odd-c1 interval at
+    delta=4 is [4, 5) and holds 4) while later ones are empty again.
+
+    Each walk along one parity stops on an exact certificate.  Along one
+    parity every bounded width w = upper - lower is a polynomial of degree at
+    most 3 in delta (the lower endpoints split by parity), so its third
+    backward difference d3 over steps of 2 is constant.  If w > 1, d1 > 0,
+    d2 > 0 and d3 >= 0 hold at delta, they hold at delta + 2: d2 grows by d3,
+    d1 by d2 and w by d1.  By induction every later width exceeds 1, and an
+    interval wider than 1 holds an integer whatever its open/closed flags.
     """
     label = _label(label)
     if parity not in ("even", "odd", "any"):
         raise PreconditionError(f"parity must be 'even', 'odd' or 'any', got {parity!r}")
+    firsts = {"even": (4,), "odd": (5,), "any": (4, 5)}[parity]
+    empty = []
+    for first in firsts:
+        widths: list[Fraction] = []
+        for delta in itertools.count(first, 2):
+            interval = interval_for(label, delta)
+            if interval.upper is None:  # a catalog entry is unbounded at every degree or at none
+                break
+            if interval.is_empty:
+                empty.append(delta)
+            widths = [*widths[-3:], interval.upper - interval.lower]
+            if len(widths) == 4:
+                w3, w2, w1, w0 = widths  # oldest first; the tests are w, d1, d2, d3
+                if (w0 > 1 and w0 - w1 > 0 and w0 - 2 * w1 + w2 > 0
+                        and w0 - 3 * w1 + 3 * w2 - w3 >= 0):
+                    break
     step = 1 if parity == "any" else 2
-    first = {"even": 4, "odd": 5, "any": 4}[parity]
-    empty = [d for d in range(first, scan_limit + 1, step) if interval_for(label, d).is_empty]
-    if not empty:
-        return first
-    largest = max(empty)
-    if largest > scan_limit - 50:
-        raise RuntimeError(
-            f"{label.value} intervals still empty near the scan limit {scan_limit}"
-        )
-    return largest + step
+    return max(empty, default=firsts[0] - step) + step

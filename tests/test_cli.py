@@ -1,5 +1,7 @@
 """CLI reports: exit codes, format equivalence and round-trips."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -8,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moduli_numerics import cli, moduli
 
@@ -298,3 +302,43 @@ def test_empty_twist_range_exits_3(capsys, argv):
     assert code == 3
     assert out == ""
     assert err == "error: empty twist range 3..1\n"
+
+
+_SMALL = st.integers(-3, 9)
+_C2 = st.integers(-3, 10**6)
+# Per subcommand: (flag, values, required).  verify also draws --prime below.
+_FUZZ_FLAGS = {
+    "surface": [("--delta", _SMALL, True), ("--c2", _C2, False),
+                ("--n-min", _SMALL, False), ("--n-max", _SMALL, False)],
+    "curve": [("--s", _SMALL, True), ("--n-min", _SMALL, False), ("--n-max", _SMALL, False)],
+    "construct": [("--delta", _SMALL, True), ("--s", _SMALL, False), ("--sigma", _SMALL, False)],
+    "intervals": [("--delta", _SMALL, True)],
+    "thresholds": [],
+    "natural": [("--delta", _SMALL, True), ("--c2", _C2, True),
+                ("--n-min", _SMALL, False), ("--n-max", _SMALL, False)],
+    "verify": [("--max-s", st.integers(-3, 1), True), ("--max-n", st.integers(-3, 2), True)],
+}
+
+
+@st.composite
+def _fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
+    argv = [command, "--format", draw(st.sampled_from(["text", "json", "csv"]))]
+    for flag, values, required in _FUZZ_FLAGS[command]:
+        value = draw(values if required else st.none() | values)
+        if value is not None:
+            argv += [flag, str(value)]
+    if command == "verify":
+        for prime in draw(st.lists(st.sampled_from([2, 4, 101]), max_size=2)):
+            argv += ["--prime", str(prime)]
+    return argv
+
+
+@settings(deadline=None)
+@given(_fuzz_argv())
+def test_fuzzed_arguments_keep_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    assert code in (0, 2, 3, 4, 5), (argv, code)
+    assert "Traceback" not in err.getvalue()

@@ -1,13 +1,15 @@
 """Construction certificates, interval catalog and parity thresholds."""
 
+import contextlib
 import dataclasses
+import io
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from moduli_numerics import moduli
+from moduli_numerics import cli, moduli
 from moduli_numerics.arith import PreconditionError
 from moduli_numerics.curves import determinantal_curve
 from moduli_numerics.moduli import (
@@ -106,7 +108,7 @@ def test_c2_min_closed_forms_to_100():
 def test_optimal_parameters_rejects_uncertified_choice(monkeypatch):
     real = moduli.certificate
     monkeypatch.setattr(
-        moduli, "certificate", lambda *args: dataclasses.replace(real(*args), good=False)
+        moduli, "certificate", lambda *args: dataclasses.replace(real(*args), cond_g=False)
     )
     with pytest.raises(RuntimeError, match="not certified at delta=6"):
         optimal_parameters(6)
@@ -193,6 +195,55 @@ def test_parity_thresholds():
     assert min_delta_nonempty("semistable_two_component", "odd") == 9
     assert min_delta_nonempty("odd_c1_two_component", "odd") == 21
     assert min_delta_nonempty("ogrady", "any") == 14
+
+
+def _scan_to_400(label, parity):
+    # Reference: every degree up to 400, with no stopping certificate.
+    step = 1 if parity == "any" else 2
+    first = {"even": 4, "odd": 5, "any": 4}[parity]
+    empty = [d for d in range(first, 401, step) if interval_for(label, d).is_empty]
+    if not empty:
+        return first
+    assert max(empty) <= 350, "still empty near the end of the reference scan"
+    return max(empty) + step
+
+
+@pytest.mark.parametrize("parity", ["even", "odd", "any"])
+@pytest.mark.parametrize("label", list(IntervalLabel), ids=lambda label: label.value)
+def test_thresholds_match_the_reference_scan(label, parity):
+    assert min_delta_nonempty(label, parity) == _scan_to_400(label, parity)
+
+
+def test_thresholds_command_builds_few_intervals(monkeypatch):
+    calls = []
+    real = moduli.interval_for
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(moduli, "interval_for", counting)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(["thresholds"]) == 0
+    assert 0 < len(calls) <= 90
+
+
+@pytest.mark.parametrize("first", [4, 5], ids=["even", "odd"])
+@pytest.mark.parametrize(
+    "label",
+    [label for label in IntervalLabel if label is not IntervalLabel.GOOD_TAIL],
+    ids=lambda label: label.value,
+)
+def test_widths_are_cubic_along_each_parity(label, first):
+    # The stopping certificate of min_delta_nonempty rests on this shape.
+    widths = []
+    for delta in range(first, 401, 2):
+        interval = interval_for(label, delta)
+        widths.append(interval.upper - interval.lower)
+    windows = zip(widths, widths[1:], widths[2:], widths[3:])
+    d3 = [w0 - 3 * w1 + 3 * w2 - w3 for w3, w2, w1, w0 in windows]
+    assert all(d >= 0 for d in d3)
+    assert all(b - a == 0 for a, b in zip(d3, d3[1:]))
 
 
 def test_min_delta_validation():
