@@ -31,7 +31,7 @@ from .curves import (
 )
 from .surfaces import check_degree, expected_dim, hypersurface
 
-DEFAULT_ENUMERATION_CAP = 10**6
+ENUMERATION_CAP = 10**6
 
 
 class IntervalLabel(str, Enum):
@@ -142,13 +142,15 @@ class ComponentInterval:
             return None
         return max(0, last - self.first_integer + 1)
 
-    def integer_points(self, cap: int = DEFAULT_ENUMERATION_CAP) -> list[int]:
+    def integer_points(self) -> list[int]:
         """Materialize the integer points, refusing pathological enumerations."""
         count = self.integer_count
         if count is None:
             raise PreconditionError(f"{self.label.value} interval is unbounded above")
-        if count > cap:
-            raise PreconditionError(f"interval holds {count} integers, above the cap {cap}")
+        if count > ENUMERATION_CAP:
+            raise PreconditionError(
+                f"interval holds {count} integers, above the cap {ENUMERATION_CAP}"
+            )
         if count == 0:
             return []
         first = self.first_integer

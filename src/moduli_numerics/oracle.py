@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from random import Random
 from typing import Sequence
 
@@ -126,27 +126,15 @@ def _poly_mul(f: Poly, g: Poly, p: int) -> Poly:
     return {e: c for e, c in out.items() if c}
 
 
-def _det(rows: list[list[Poly]], p: int) -> Poly:
-    # Laplace expansion along the first row; matrices here are at most s x s.
-    n = len(rows)
-    if n == 1:
-        return dict(rows[0][0])
-    acc: Poly = {}
-    for j in range(n):
-        entry = rows[0][j]
-        if not entry:
-            continue
-        minor = [[row[jj] for jj in range(n) if jj != j] for row in rows[1:]]
-        term = _poly_mul(entry, _det(minor, p), p)
-        sign = -1 if j % 2 else 1
-        for e, c in term.items():
-            acc[e] = (acc.get(e, 0) + sign * c) % p
-    return {e: c for e, c in acc.items() if c}
-
-
 @lru_cache(maxsize=128)
 def _maximal_minors(s: int, p: int, seed: int) -> tuple[Poly, ...]:
-    """The s+1 maximal minors of a seeded random s x (s+1) matrix of linear forms."""
+    """The s+1 maximal minors of a seeded random s x (s+1) matrix of linear forms.
+
+    One Laplace expansion runs up the rows from the empty minor 1.  After row
+    s - t, ``minors`` maps each t-set of columns to the minor on those columns
+    and the last t rows, so every smaller minor is computed once and shared by
+    all that contain it.
+    """
     rng = Random(seed)
     units: list[Exponent] = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
     matrix = [
@@ -156,11 +144,18 @@ def _maximal_minors(s: int, p: int, seed: int) -> tuple[Poly, ...]:
         ]
         for _ in range(s)
     ]
-    minors = []
-    for drop in range(s + 1):
-        sub = [[row[j] for j in range(s + 1) if j != drop] for row in matrix]
-        minors.append(_det(sub, p))
-    return tuple(minors)
+    minors: dict[tuple[int, ...], Poly] = {(): {(0, 0, 0, 0): 1}}
+    for t in range(1, s + 1):
+        row, larger = matrix[s - t], {}
+        for cols in combinations(range(s + 1), t):
+            acc: Poly = {}
+            for i, j in enumerate(cols):
+                for e, c in _poly_mul(row[j], minors[cols[:i] + cols[i + 1 :]], p).items():
+                    acc[e] = (acc.get(e, 0) + (-c if i % 2 else c)) % p
+            larger[cols] = {e: c for e, c in acc.items() if c}
+        minors = larger
+    # combinations() yields the set without column s first and without column 0 last.
+    return tuple(reversed(minors.values()))
 
 
 def _macaulay_matrix(forms: Sequence[Poly], shift_degree: int, total_degree: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 """CLI reports: exit codes, format equivalence and round-trips."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -192,6 +193,64 @@ def test_library_input_checks_exit_3(capsys, argv, message):
     assert code == 3
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_verify_reads_the_square_bound_from_curve_invariants(capsys, monkeypatch):
+    # A claimed bound of 2s + 1 makes n = 2s an expected-zero row, which the
+    # square of the minor ideal contradicts.
+    real = cli.curve_invariants
+
+    def shifted(curve):
+        return dataclasses.replace(real(curve), jsq_bound=2 * curve.s + 1)
+
+    monkeypatch.setattr(cli, "curve_invariants", shifted)
+    code, out, _ = run_cli(capsys, ["verify", "--max-s", "1", "--format", "json"])
+    assert code == 4
+    failed = [row for row in json.loads(out)["result"]["rows"] if not row["ok"]]
+    assert {(row["check"], row["n"]) for row in failed} == {("h0_ideal_square", "2")}
+
+
+def _digit_limit():
+    # Python before 3.10.7 has no int-to-str digit limit; 0 means none.
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@contextlib.contextmanager
+def _no_digit_limit():
+    limit = _digit_limit()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+# 1501 digits put cubic results past the default limit of 4300 digits.
+LONG = "9" * 1501
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["intervals", "--delta", LONG], 0),
+        (["construct", "--delta", LONG], 0),
+        (["surface", "--delta", LONG, "--n-min", "0", "--n-max", "0"], 0),
+        (["curve", "--s", LONG, "--n-min", "0", "--n-max", "0"], 0),
+        (["natural", "--delta", LONG, "--c2", "1", "--n-min", "0", "--n-max", "0"], 3),
+    ],
+    ids=lambda a: a[0] if isinstance(a, list) else None,
+)
+def test_long_integers_keep_the_exit_code_contract(capsys, argv, expected):
+    limit = _digit_limit()
+    code, out, err = run_cli(capsys, argv + ["--format", "json"])
+    assert code == expected
+    assert "Traceback" not in err and "internal error" not in err
+    assert _digit_limit() == limit
+    if argv[0] == "construct":
+        with _no_digit_limit():
+            assert json.loads(out)["result"]["c2"] == str(moduli.optimal_certificate(int(LONG)).c2)
 
 
 _IMPORT_PROBE = """

@@ -173,10 +173,10 @@ def test_good_tail_unbounded():
 
 
 def test_integer_points_cap():
-    interval = two_component_interval(100)
-    assert interval.integer_count > 10
+    interval = ogrady_interval(200)
+    assert interval.integer_count == 1_215_298 > moduli.ENUMERATION_CAP
     with pytest.raises(ValueError):
-        interval.integer_points(cap=10)
+        interval.integer_points()
 
 
 def test_odd_c1_low_degree_accident():
