@@ -11,10 +11,11 @@ run several seeds and take a majority.  Every value is reproducible from
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import combinations, combinations_with_replacement
+from math import comb
 from random import Random
 from typing import Sequence
 
@@ -29,7 +30,9 @@ Poly = dict[Exponent, int]
 _MAX_PRIME = 2**31  # leaves int64 room for at least two unreduced rank updates
 
 
+@lru_cache(maxsize=None)
 def _require_prime(p: int) -> None:
+    """Raise unless p is a prime in 2..2^31; each prime is trial-divided once per process."""
     if p < 2 or p > _MAX_PRIME:
         raise PreconditionError(f"modulus must be a prime in 2..2^31, got {p}")
     d = 2
@@ -58,7 +61,7 @@ def h0_line_oracle(n: int) -> int:
 
 @dataclass
 class FiniteFieldMatrix:
-    """A dense matrix over Z/p whose rank is taken by int64 row elimination."""
+    """A dense matrix over Z/p, reduced by int64 Gauss-Jordan elimination."""
 
     p: int
     entries: np.ndarray = field(repr=False)
@@ -79,12 +82,18 @@ class FiniteFieldMatrix:
         return self.entries.shape[1]
 
     def rank(self) -> int:
-        """Gaussian elimination below each pivot, with delayed reduction mod p.
+        """The number of pivots of the reduced echelon form."""
+        return len(self.reduced_echelon()[0])
 
-        Rows are first stable-sorted by leading column.  Each pivot reads its
-        column and row mod p, so an update subtracts at most (p-1)^2 from an
-        entry; the block below is reduced only after as many unreduced updates
-        as int64 can absorb (2 at p = 2^31 - 1, vastly more for small p).
+    def reduced_echelon(self) -> tuple[np.ndarray, np.ndarray]:
+        """Gauss-Jordan elimination over Z/p, with delayed reduction mod p.
+
+        Returns the pivot columns, increasing, and the reduced rows: row i is
+        1 at pivots[i] and 0 at every other pivot column.  Rows are first
+        stable-sorted by leading column.  Each pivot reads its column and row
+        mod p, so an update subtracts at most (p-1)^2 from an entry; the
+        matrix is reduced only after as many unreduced updates as int64 can
+        absorb (2 at p = 2^31 - 1, vastly more for small p).
         """
         p = self.p
         a = self.entries
@@ -94,27 +103,47 @@ class FiniteFieldMatrix:
         a = a[np.argsort(lead, kind="stable")]
         budget = (2**63 - 1 - p) // (p - 1) ** 2
         pending = 0
-        r = 0
+        pivots: list[int] = []
         for c in range(ncols):
+            r = len(pivots)
             if r == nrows:
                 break
-            column = a[r:, c] % p
-            nz = np.flatnonzero(column)
+            column = a[:, c] % p
+            nz = column[r:].nonzero()[0]
             if nz.size == 0:
                 continue
             pivot = r + int(nz[0])
             if pivot != r:
                 a[[r, pivot]] = a[[pivot, r]]
+                column[[r, pivot]] = column[[pivot, r]]
             row = a[r, c:] % p
-            row = row * pow(int(row[0]), -1, p) % p
-            if nz.size > 1:
-                a[r + nz[1:], c:] -= np.outer(column[nz[1:]], row)
+            a[r, c:] = row = row * pow(int(row[0]), -1, p) % p
+            column[r] = 0
+            others = column.nonzero()[0]
+            if others.size:
+                a[others, c:] -= np.outer(column[others], row)
                 pending += 1
                 if pending == budget:
-                    a[r + 1 :, c:] %= p
+                    a[:, c:] %= p
                     pending = 0
-            r += 1
-        return r
+            pivots.append(c)
+        return np.array(pivots, dtype=np.intp), a[: len(pivots)] % p
+
+
+def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """(a @ b) mod p for int64 matrices with entries in 0..p-1, exact in int64.
+
+    When k (p-1)^2 could overflow, a is split into 16-bit limbs and the inner
+    dimension into chunks of 2^15, so every partial sum stays below 2^62.
+    """
+    k = a.shape[1]
+    if k * (p - 1) ** 2 < 2**63:
+        return a @ b % p
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for i in range(0, k, 2**15):
+        lo, hi, part = a[:, i : i + 2**15] & 0xFFFF, a[:, i : i + 2**15] >> 16, b[i : i + 2**15]
+        out = (out + lo @ part % p + (hi @ part % p << 16)) % p
+    return out
 
 
 def _poly_mul(f: Poly, g: Poly, p: int) -> Poly:
@@ -158,42 +187,168 @@ def _maximal_minors(s: int, p: int, seed: int) -> tuple[Poly, ...]:
     return tuple(reversed(minors.values()))
 
 
-def _macaulay_matrix(forms: Sequence[Poly], shift_degree: int, total_degree: int) -> np.ndarray:
-    """Coefficient rows of {form * monomial} over the degree-``total_degree`` monomials.
-
-    Row ``i * len(multipliers) + j`` is forms[i] times monomials(shift_degree)[j];
-    columns follow monomials(total_degree).
-    """
-    multipliers = np.array(monomials(shift_degree), dtype=np.intp)
-    basis = np.array(monomials(total_degree), dtype=np.intp)
-    # An exponent of degree d is fixed by its first three entries.
-    column_of = np.zeros((total_degree + 1,) * 3, dtype=np.intp)
+@lru_cache(maxsize=64)
+def _column_of(degree: int) -> np.ndarray:
+    """Index of each exponent in monomials(degree), looked up by its first three entries."""
+    basis = np.array(monomials(degree), dtype=np.intp).reshape(-1, 4)
+    column_of = np.zeros((degree + 1,) * 3, dtype=np.intp)
     column_of[basis[:, 0], basis[:, 1], basis[:, 2]] = np.arange(len(basis))
-    owner = np.array([i for i, form in enumerate(forms) for _ in form], dtype=np.intp)
-    exponents = np.array([e for form in forms for e in form], dtype=np.intp).reshape(-1, 4)
-    coefficients = np.array([c for form in forms for c in form.values()], dtype=np.int64)
-    shifted = multipliers[:, None, :] + exponents[None, :, :]
-    rows = owner[None, :] * len(multipliers) + np.arange(len(multipliers))[:, None]
-    matrix = np.zeros((len(forms) * len(multipliers), len(basis)), dtype=np.int64)
-    matrix[rows, column_of[shifted[..., 0], shifted[..., 1], shifted[..., 2]]] = coefficients
+    column_of.flags.writeable = False
+    return column_of
+
+
+@lru_cache(maxsize=256)
+def _shifted_columns(multipliers: tuple[Exponent, ...], total_degree: int) -> np.ndarray:
+    """Entry [j, k]: the degree-``total_degree`` column of multipliers[j] * monomials(d)[k]."""
+    shift = np.array(multipliers, dtype=np.intp)
+    basis = np.array(monomials(total_degree - sum(multipliers[0])), dtype=np.intp).reshape(-1, 4)
+    shifted = shift[:, None, :] + basis[None, :, :]
+    columns = _column_of(total_degree)[shifted[..., 0], shifted[..., 1], shifted[..., 2]]
+    columns.flags.writeable = False
+    return columns
+
+
+def _coefficient_rows(forms: Sequence[Poly], degree: int) -> np.ndarray:
+    """Dense coefficient rows of degree-``degree`` forms, columns following monomials(degree)."""
+    column = {e: i for i, e in enumerate(monomials(degree))}
+    rows = np.zeros((len(forms), len(column)), dtype=np.int64)
+    for i, form in enumerate(forms):
+        for e, c in form.items():
+            rows[i, column[e]] = c
+    return rows
+
+
+def _macaulay_matrix(
+    forms: np.ndarray, multipliers: Sequence[Exponent], total_degree: int
+) -> np.ndarray:
+    """Coefficient rows of {form * multiplier} over the degree-``total_degree`` monomials.
+
+    ``forms`` holds coefficient rows over monomials(d), and every multiplier
+    has degree total_degree - d.  Row ``i * len(multipliers) + j`` is forms[i]
+    times multipliers[j]; columns follow monomials(total_degree).
+    """
+    columns = _shifted_columns(tuple(multipliers), total_degree)
+    m = len(multipliers)
+    rows = np.arange(len(forms) * m).reshape(len(forms), m)
+    matrix = np.zeros((len(forms) * m, comb(total_degree + 3, 3)), dtype=np.int64)
+    matrix[rows[:, :, None], columns[None, :, :]] = forms[:, None, :]
     return matrix
+
+
+_X0, _X1 = (1, 0, 0, 0), (0, 1, 0, 0)
+
+
+@dataclass
+class _Chain:
+    """The reduced basis B_n of one power ideal in its last twist n.
+
+    Row i of B_n is 1 at column ``pivots[i]``, 0 at every other pivot column,
+    and ``block[i]`` on the remaining columns ``free`` (increasing).  The last
+    ``added`` rows are E_n, the rows that the step to n added.
+
+    A step to n + 1 uses I_{n+1} = x0*I_n + x1*<E_n> + k[x2,x3]_{n+1-d}*F,
+    where F is the list of forms, all of degree d, and E_d is the reduced F.
+    Proof, by induction on n: every basis product m*f of I_{n+1} lies in
+    x0*I_n if x0 | m, in x1*I_n if x1 | m, and in k[x2,x3]_{n+1-d}*F
+    otherwise.  A step builds B_n so that I_n = x0*I_{n-1} + <E_n> (for
+    n = d, I_{d-1} = 0), hence x1*I_n lies in x0*(x1*I_{n-1}) + x1*<E_n>,
+    inside x0*I_n + x1*<E_n>.  Nothing here needs x0 to be a nonzerodivisor,
+    so the rank is still measured on the span of the form-times-monomial
+    products.
+    """
+
+    p: int
+    forms: np.ndarray  # coefficient rows of F over monomials(d)
+    d: int
+    n: int = field(init=False)
+    pivots: np.ndarray = field(init=False, repr=False)
+    free: np.ndarray = field(init=False, repr=False)
+    block: np.ndarray = field(init=False, repr=False)
+    added: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.restart()
+
+    def restart(self) -> None:
+        """Back to twist d - 1, where the ideal is zero."""
+        width = comb(self.d + 2, 3)
+        self.n, self.added = self.d - 1, 0
+        self.pivots = np.zeros(0, dtype=np.intp)
+        self.free = np.arange(width)
+        self.block = np.zeros((0, width), dtype=np.int64)
+
+    def advance(self) -> None:
+        """Step from B_n to B_{n+1}, eliminating only the rows that x0*B_n misses.
+
+        x0*B_n is already reduced: one product clears the new rows on its
+        pivot columns, Gauss-Jordan reduces what remains on the other
+        columns (x0-free columns first), and a second product
+        back-substitutes the new pivots into x0*B_n.
+        """
+        p, n = self.p, self.n + 1
+        last = np.zeros((self.added, comb(n + 2, 3)), dtype=np.int64)  # E_n, all columns
+        last[np.arange(self.added), self.pivots[len(self.pivots) - self.added :]] = 1
+        last[:, self.free] = self.block[len(self.block) - self.added :]
+        x2x3 = [(0, 0, c, n - self.d - c) for c in range(n - self.d + 1)]
+        new_rows = np.vstack(
+            [_macaulay_matrix(last, [_X1], n), _macaulay_matrix(self.forms, x2x3, n)]
+        )
+        x0 = _shifted_columns((_X0,), n)[0]
+        # Monomials without x0 come first in monomials(n); x0 maps the rest in order.
+        x0_free = comb(n + 2, 2)
+        free = np.concatenate([np.arange(x0_free), x0[self.free]])
+        pending = new_rows[:, free]
+        pending[:, x0_free:] -= _matmul_mod(new_rows[:, x0[self.pivots]], self.block, p)
+        found, reduced = FiniteFieldMatrix(p, pending).reduced_echelon()
+        keep = np.ones(len(free), dtype=bool)
+        keep[found] = False
+        # x0*B_n on the columns left over; it is zero on the x0-free ones.
+        shifted = np.zeros((len(self.block), len(free)), dtype=np.int64)
+        shifted[:, x0_free:] = self.block
+        top = shifted[:, keep]
+        back = found >= x0_free
+        if back.any():
+            top = (top - _matmul_mod(shifted[:, found[back]], reduced[back][:, keep], p)) % p
+        self.pivots = np.concatenate([x0[self.pivots], free[found]])
+        self.free = free[keep]
+        self.block = np.vstack([top, reduced[:, keep]])
+        self.n, self.added = n, len(found)
+
+
+# verify and the oracle benchmark interleave three seeds and both powers.
+_CHAIN_CAPACITY = 6
+_chains: OrderedDict[tuple[int, int, int, int], _Chain] = OrderedDict()
 
 
 def _power_rank(s: int, n: int, p: int, seed: int, power: int) -> int:
     """Degree-n dimension of the ``power``-th power of the minor ideal, as a rank.
 
     Its forms are the products of ``power`` minors, of degree exactly
-    power * s, so the value is 0 for every n below that.
+    power * s, so the value is 0 for every n below that.  Each (s, p, seed,
+    power) keeps its reduced basis in the last twist reached and advances it
+    one twist at a time; a twist below that restarts the chain.
     """
     _require_prime(p)
     check_parameter(s)
-    if n < power * s:
+    d = power * s
+    if n < d:
         return 0
-    forms = [
-        reduce(lambda f, g: _poly_mul(f, g, p), factors)
-        for factors in combinations_with_replacement(_maximal_minors(s, p, seed), power)
-    ]
-    return FiniteFieldMatrix(p, _macaulay_matrix(forms, n - power * s, n)).rank()
+    key = (s, p, seed, power)
+    chain = _chains.pop(key, None)
+    if chain is None:
+        forms = [
+            reduce(lambda f, g: _poly_mul(f, g, p), factors)
+            for factors in combinations_with_replacement(_maximal_minors(s, p, seed), power)
+        ]
+        chain = _Chain(p, _coefficient_rows(forms, d), d)
+    elif n < chain.n:
+        chain.restart()
+    _chains[key] = chain
+    if len(_chains) > _CHAIN_CAPACITY:
+        _chains.popitem(last=False)
+    while chain.n < n:
+        chain.advance()
+    return len(chain.pivots)
 
 
 def h0_ideal_oracle(s: int, n: int, p: int, seed: int) -> int:

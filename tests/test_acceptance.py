@@ -131,7 +131,7 @@ def test_criterion_5_euler_characteristic_closure():
 
 def test_criterion_6_oracle_equivalence():
     failures = []
-    for s in range(1, 5):
+    for s in range(1, 6):
         curve = determinantal_curve(s)
         for p in PRIMES:
             for n in range(0, 3 * s + 1):

@@ -1,6 +1,7 @@
 """Finite-field oracles: the rank kernel and the minor-span measurements."""
 
-from itertools import combinations, permutations
+from functools import reduce
+from itertools import combinations, combinations_with_replacement, permutations
 from random import Random
 
 import numpy as np
@@ -13,9 +14,12 @@ from moduli_numerics.arith import binom_trunc
 from moduli_numerics.curves import determinantal_curve, h_ideal
 from moduli_numerics.oracle import (
     FiniteFieldMatrix,
+    _coefficient_rows,
     _macaulay_matrix,
+    _matmul_mod,
     _maximal_minors,
     _poly_mul,
+    _require_prime,
     h0_ideal_oracle,
     h0_ideal_square_oracle,
     h0_line_oracle,
@@ -226,11 +230,12 @@ def test_macaulay_matrix_matches_dict_loop():
             minors = _maximal_minors(s, p, 1)
             products = [_poly_mul(f, g, p) for i, f in enumerate(minors) for g in minors[i:]]
             for n in range(s, 3 * s + 1):
-                built = _macaulay_matrix(minors, n - s, n)
+                built = _macaulay_matrix(_coefficient_rows(minors, s), monomials(n - s), n)
                 assert built.dtype == np.int64
                 assert np.array_equal(built, _macaulay_reference(minors, n - s, n)), (s, p, n)
                 if n >= 2 * s:
-                    built = _macaulay_matrix(products, n - 2 * s, n)
+                    rows = _coefficient_rows(products, 2 * s)
+                    built = _macaulay_matrix(rows, monomials(n - 2 * s), n)
                     assert np.array_equal(built, _macaulay_reference(products, n - 2 * s, n))
 
 
@@ -249,6 +254,90 @@ def test_prime_validation():
         h0_ideal_oracle(2, 2, 1, 3)
     with pytest.raises(ValueError):
         h0_ideal_oracle(0, 2, 101, 3)
+
+
+def test_prime_check_caches_primes_only():
+    _require_prime.cache_clear()
+    for p in (101, 2**31 - 1):
+        _require_prime(p)
+        _require_prime(p)
+    assert _require_prime.cache_info().hits == 2
+    with pytest.raises(ValueError, match=r"prime, got 100 = 2 \* 50"):
+        _require_prime(100)
+    with pytest.raises(ValueError, match=r"prime in 2..2\^31, got 2147483649"):
+        _require_prime(2**31 + 1)
+    with pytest.raises(ValueError, match="prime, got 100"):
+        FiniteFieldMatrix(100, np.zeros((1, 1), dtype=np.int64))
+    assert _require_prime.cache_info().currsize == 2
+
+
+@pytest.mark.parametrize("p", [2, 101, 2**31 - 1])
+def test_matmul_mod_is_exact(p):
+    # k = 40,000 exceeds one 2^15 chunk of the 16-bit limb path at p = 2^31 - 1.
+    rng = np.random.default_rng(p)
+    for m, k, q in ((3, 1, 4), (5, 7, 2), (2, 40_000, 3), (4, 0, 2)):
+        a = rng.integers(0, p, (m, k), dtype=np.int64)
+        b = rng.integers(0, p, (k, q), dtype=np.int64)
+        want = [[sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in b.T] for row in a]
+        assert _matmul_mod(a, b, p).tolist() == want
+
+
+def _full_rank(s, n, p, seed, power):
+    """The rank of the whole Macaulay matrix of the power ideal, built and reduced afresh."""
+    if n < power * s:
+        return 0
+    forms = [
+        reduce(lambda f, g: _poly_mul(f, g, p), factors)
+        for factors in combinations_with_replacement(_maximal_minors(s, p, seed), power)
+    ]
+    return _rank_reference(_macaulay_reference(forms, n - power * s, n), p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 32003, 2**31 - 1])
+def test_chained_ranks_match_full_matrix_ranks(p):
+    # Ten chains, more than the cache holds, queried in orders that advance,
+    # restart and evict them.
+    chains = [
+        (s, seed, power)
+        for s in (1, 2, 3)
+        for seed in (1, 2)
+        for power in (1, 2)
+        if s < 3 or seed == 1
+    ]
+    want = {
+        (chain, n): _full_rank(chain[0], n, p, chain[1], chain[2])
+        for chain in chains
+        for n in range(3 * chain[0] + 2)
+    }
+    by_chain = list(want)
+    round_robin = sorted(want, key=lambda query: query[1])
+    shuffled = list(want)
+    Random(p).shuffle(shuffled)
+    oracle._chains.clear()
+    for order in (by_chain, by_chain[::-1], round_robin, round_robin[::-1], shuffled):
+        for (s, seed, power), n in order:
+            got = (h0_ideal_oracle if power == 1 else h0_ideal_square_oracle)(s, n, p, seed)
+            assert got == want[(s, seed, power), n], (s, seed, power, n)
+        assert len(oracle._chains) == oracle._CHAIN_CAPACITY
+
+
+def test_step_eliminates_only_the_rows_x0_misses(monkeypatch):
+    # From n = 11 to 12 at s = 4: 68 rows of x1 * E_11 and 9 * 5 generator
+    # multiples; the whole Macaulay matrix has 825 rows.
+    eliminated = []
+    echelon = FiniteFieldMatrix.reduced_echelon
+
+    def counting(matrix):
+        eliminated.append(matrix.rows)
+        return echelon(matrix)
+
+    h0_ideal_oracle(4, 11, 101, 1)
+    monkeypatch.setattr(FiniteFieldMatrix, "reduced_echelon", counting)
+    assert h0_ideal_oracle(4, 12, 101, 1) == h_ideal(determinantal_curve(4), 0, 12)
+    assert 0 < sum(eliminated) <= 113
+    eliminated.clear()
+    assert h0_ideal_oracle(4, 12, 101, 1) == h_ideal(determinantal_curve(4), 0, 12)
+    assert eliminated == []
 
 
 def test_oracle_examples():
