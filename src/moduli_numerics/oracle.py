@@ -238,7 +238,6 @@ def _macaulay_matrix(
 _X0, _X1 = (1, 0, 0, 0), (0, 1, 0, 0)
 
 
-@dataclass
 class _Chain:
     """The reduced basis B_n of one power ideal in its last twist n.
 
@@ -257,16 +256,8 @@ class _Chain:
     products.
     """
 
-    p: int
-    forms: np.ndarray  # coefficient rows of F over monomials(d)
-    d: int
-    n: int = field(init=False)
-    pivots: np.ndarray = field(init=False, repr=False)
-    free: np.ndarray = field(init=False, repr=False)
-    block: np.ndarray = field(init=False, repr=False)
-    added: int = field(init=False)
-
-    def __post_init__(self) -> None:
+    def __init__(self, p: int, forms: np.ndarray, d: int) -> None:
+        self.p, self.forms, self.d = p, forms, d  # forms: coefficient rows of F over monomials(d)
         self.restart()
 
     def restart(self) -> None:

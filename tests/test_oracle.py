@@ -275,7 +275,7 @@ def test_prime_check_caches_primes_only():
 def test_matmul_mod_is_exact(p):
     # k = 40,000 exceeds one 2^15 chunk of the 16-bit limb path at p = 2^31 - 1.
     rng = np.random.default_rng(p)
-    for m, k, q in ((3, 1, 4), (5, 7, 2), (2, 40_000, 3), (4, 0, 2)):
+    for m, k, q in ((3, 1, 4), (5, 7, 2), (2, 40_000, 1), (4, 0, 2)):
         a = rng.integers(0, p, (m, k), dtype=np.int64)
         b = rng.integers(0, p, (k, q), dtype=np.int64)
         want = [[sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in b.T] for row in a]
@@ -295,8 +295,9 @@ def _full_rank(s, n, p, seed, power):
 
 @pytest.mark.parametrize("p", [2, 3, 101, 32003, 2**31 - 1])
 def test_chained_ranks_match_full_matrix_ranks(p):
-    # Ten chains, more than the cache holds, queried in orders that advance,
-    # restart and evict them.
+    # Ten chains, more than the cache holds: ascending twists advance each
+    # chain, descending ones restart it, and the shuffled order interleaves
+    # all ten, so chains are evicted and rebuilt.
     chains = [
         (s, seed, power)
         for s in (1, 2, 3)
@@ -307,14 +308,13 @@ def test_chained_ranks_match_full_matrix_ranks(p):
     want = {
         (chain, n): _full_rank(chain[0], n, p, chain[1], chain[2])
         for chain in chains
-        for n in range(3 * chain[0] + 2)
+        for n in range(3 * chain[0] + 1)
     }
-    by_chain = list(want)
-    round_robin = sorted(want, key=lambda query: query[1])
+    ascending = list(want)
     shuffled = list(want)
     Random(p).shuffle(shuffled)
     oracle._chains.clear()
-    for order in (by_chain, by_chain[::-1], round_robin, round_robin[::-1], shuffled):
+    for order in (ascending, ascending[::-1], shuffled):
         for (s, seed, power), n in order:
             got = (h0_ideal_oracle if power == 1 else h0_ideal_square_oracle)(s, n, p, seed)
             assert got == want[(s, seed, power), n], (s, seed, power, n)
