@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
-from itertools import combinations, combinations_with_replacement
+from functools import lru_cache
+from itertools import combinations
 from math import comb
 from random import Random
 from typing import Sequence
@@ -25,7 +25,6 @@ from .arith import PreconditionError
 from .curves import check_parameter
 
 Exponent = tuple[int, int, int, int]
-Poly = dict[Exponent, int]
 
 _MAX_PRIME = 2**31  # leaves int64 room for at least two unreduced rank updates
 
@@ -146,47 +145,6 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _poly_mul(f: Poly, g: Poly, p: int) -> Poly:
-    out: Poly = {}
-    for ef, cf in f.items():
-        for eg, cg in g.items():
-            e = (ef[0] + eg[0], ef[1] + eg[1], ef[2] + eg[2], ef[3] + eg[3])
-            out[e] = (out.get(e, 0) + cf * cg) % p
-    return {e: c for e, c in out.items() if c}
-
-
-@lru_cache(maxsize=128)
-def _maximal_minors(s: int, p: int, seed: int) -> tuple[Poly, ...]:
-    """The s+1 maximal minors of a seeded random s x (s+1) matrix of linear forms.
-
-    One Laplace expansion runs up the rows from the empty minor 1.  After row
-    s - t, ``minors`` maps each t-set of columns to the minor on those columns
-    and the last t rows, so every smaller minor is computed once and shared by
-    all that contain it.
-    """
-    rng = Random(seed)
-    units: list[Exponent] = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
-    matrix = [
-        [
-            {e: c for e, c in zip(units, (rng.randrange(p) for _ in range(4))) if c}
-            for _ in range(s + 1)
-        ]
-        for _ in range(s)
-    ]
-    minors: dict[tuple[int, ...], Poly] = {(): {(0, 0, 0, 0): 1}}
-    for t in range(1, s + 1):
-        row, larger = matrix[s - t], {}
-        for cols in combinations(range(s + 1), t):
-            acc: Poly = {}
-            for i, j in enumerate(cols):
-                for e, c in _poly_mul(row[j], minors[cols[:i] + cols[i + 1 :]], p).items():
-                    acc[e] = (acc.get(e, 0) + (-c if i % 2 else c)) % p
-            larger[cols] = {e: c for e, c in acc.items() if c}
-        minors = larger
-    # combinations() yields the set without column s first and without column 0 last.
-    return tuple(reversed(minors.values()))
-
-
 @lru_cache(maxsize=64)
 def _column_of(degree: int) -> np.ndarray:
     """Index of each exponent in monomials(degree), looked up by its first three entries."""
@@ -208,16 +166,6 @@ def _shifted_columns(multipliers: tuple[Exponent, ...], total_degree: int) -> np
     return columns
 
 
-def _coefficient_rows(forms: Sequence[Poly], degree: int) -> np.ndarray:
-    """Dense coefficient rows of degree-``degree`` forms, columns following monomials(degree)."""
-    column = {e: i for i, e in enumerate(monomials(degree))}
-    rows = np.zeros((len(forms), len(column)), dtype=np.int64)
-    for i, form in enumerate(forms):
-        for e, c in form.items():
-            rows[i, column[e]] = c
-    return rows
-
-
 def _macaulay_matrix(
     forms: np.ndarray, multipliers: Sequence[Exponent], total_degree: int
 ) -> np.ndarray:
@@ -235,7 +183,41 @@ def _macaulay_matrix(
     return matrix
 
 
-_X0, _X1 = (1, 0, 0, 0), (0, 1, 0, 0)
+_UNITS: tuple[Exponent, ...] = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+_X0, _X1 = _UNITS[:2]
+
+
+@lru_cache(maxsize=128)
+def _maximal_minors(s: int, p: int, seed: int) -> np.ndarray:
+    """The s+1 maximal minors of a seeded random s x (s+1) matrix of linear forms.
+
+    Row i holds the coefficients, over monomials(s), of the minor without
+    column i.  One Laplace expansion runs up the rows from the empty minor 1.
+    After row s - t, ``minors`` holds the minor on each t-set of columns and
+    the last t rows, in combinations() order, so every smaller minor is
+    computed once and shared by all that contain it.  A level is one product
+    mod p: the signed entries of row s - t, placed at (t-set, (t-1)-subset,
+    variable), times the (t-1)-minors multiplied by each variable.
+    """
+    rng = Random(seed)
+    # Entry [row, column, k] is the coefficient of x_k.
+    matrix = np.array([rng.randrange(p) for _ in range(4 * s * (s + 1))], dtype=np.int64)
+    matrix = matrix.reshape(s, s + 1, 4)
+    minors, index = np.ones((1, 1), dtype=np.int64), {(): 0}
+    for t in range(1, s + 1):
+        signed = np.stack([matrix[s - t], -matrix[s - t] % p])
+        sets = list(combinations(range(s + 1), t))
+        weights = np.zeros((len(sets), len(index), 4), dtype=np.int64)
+        for k, cols in enumerate(sets):
+            for i, j in enumerate(cols):
+                weights[k, index[cols[:i] + cols[i + 1 :]]] = signed[i % 2, j]
+        shifted = _macaulay_matrix(minors, _UNITS, t)
+        minors = _matmul_mod(weights.reshape(len(sets), -1), shifted, p)
+        index = {cols: k for k, cols in enumerate(sets)}
+    # combinations() yields the set without column s first and without column 0 last.
+    minors = np.ascontiguousarray(minors[::-1])
+    minors.flags.writeable = False
+    return minors
 
 
 class _Chain:
@@ -312,10 +294,10 @@ _chains: OrderedDict[tuple[int, int, int, int], _Chain] = OrderedDict()
 
 
 def _power_rank(s: int, n: int, p: int, seed: int, power: int) -> int:
-    """Degree-n dimension of the ``power``-th power of the minor ideal, as a rank.
+    """Degree-n dimension of the minor ideal (power 1) or its square (power 2), as a rank.
 
-    Its forms are the products of ``power`` minors, of degree exactly
-    power * s, so the value is 0 for every n below that.  Each (s, p, seed,
+    Its forms are the minors, or the products f_i * f_j (i <= j) of minors,
+    of degree exactly power * s, so the value is 0 for every n below that.  Each (s, p, seed,
     power) keeps its reduced basis in the last twist reached and advances it
     one twist at a time; a twist below that restarts the chain.
     """
@@ -327,11 +309,12 @@ def _power_rank(s: int, n: int, p: int, seed: int, power: int) -> int:
     key = (s, p, seed, power)
     chain = _chains.pop(key, None)
     if chain is None:
-        forms = [
-            reduce(lambda f, g: _poly_mul(f, g, p), factors)
-            for factors in combinations_with_replacement(_maximal_minors(s, p, seed), power)
-        ]
-        chain = _Chain(p, _coefficient_rows(forms, d), d)
+        forms = _maximal_minors(s, p, seed)
+        if power == 2:
+            # f_i * f_j for i <= j: row k of shifted[i] is f_i times monomials(s)[k].
+            shifted = _macaulay_matrix(forms, monomials(s), d).reshape(s + 1, len(forms[0]), -1)
+            forms = np.vstack([_matmul_mod(forms[i:], shifted[i], p) for i in range(s + 1)])
+        chain = _Chain(p, forms, d)
     elif n < chain.n:
         chain.restart()
     _chains[key] = chain

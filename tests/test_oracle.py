@@ -14,11 +14,9 @@ from moduli_numerics.arith import binom_trunc
 from moduli_numerics.curves import determinantal_curve, h_ideal
 from moduli_numerics.oracle import (
     FiniteFieldMatrix,
-    _coefficient_rows,
     _macaulay_matrix,
     _matmul_mod,
     _maximal_minors,
-    _poly_mul,
     _require_prime,
     h0_ideal_oracle,
     h0_ideal_square_oracle,
@@ -158,6 +156,29 @@ def test_rank_of_empty_matrices():
         assert FiniteFieldMatrix(101, np.zeros(shape, dtype=np.int64)).rank() == 0
 
 
+# The dict-of-exponents arithmetic below is the independent reference that the
+# library's dense coefficient rows are compared against.
+
+
+def _poly_mul(f, g, p):
+    out = {}
+    for ef, cf in f.items():
+        for eg, cg in g.items():
+            e = (ef[0] + eg[0], ef[1] + eg[1], ef[2] + eg[2], ef[3] + eg[3])
+            out[e] = (out.get(e, 0) + cf * cg) % p
+    return {e: c for e, c in out.items() if c}
+
+
+def _coefficient_rows(forms, degree):
+    """Dense coefficient rows of degree-``degree`` forms, columns following monomials(degree)."""
+    column = {e: i for i, e in enumerate(monomials(degree))}
+    rows = np.zeros((len(forms), len(column)), dtype=np.int64)
+    for i, form in enumerate(forms):
+        for e, c in form.items():
+            rows[i, column[e]] = c
+    return rows
+
+
 def _macaulay_reference(forms, shift_degree, total_degree):
     multipliers = monomials(shift_degree)
     basis = {mon: idx for idx, mon in enumerate(monomials(total_degree))}
@@ -208,26 +229,43 @@ def _maximal_minors_reference(s, p, seed):
 def test_shared_expansion_matches_per_minor_laplace(p):
     for s in range(1, 6):
         for seed in (1, 2, 3):
-            assert _maximal_minors(s, p, seed) == _maximal_minors_reference(s, p, seed), (s, seed)
+            got = _maximal_minors(s, p, seed)
+            assert got.dtype == np.int64
+            want = _coefficient_rows(_maximal_minors_reference(s, p, seed), s)
+            assert np.array_equal(got, want), (s, seed)
 
 
 def test_shared_expansion_multiplies_each_minor_once(monkeypatch):
-    # (s+1)(2^s - 1) = 441 products at s = 6; expanding each minor on its own takes 8,652.
+    # One product mod p per level of the expansion: s = 6 products at s = 6.
     calls = []
 
-    def counting_mul(f, g, p):
+    def counting_matmul(a, b, p):
         calls.append(None)
-        return _poly_mul(f, g, p)
+        return _matmul_mod(a, b, p)
 
-    monkeypatch.setattr(oracle, "_poly_mul", counting_mul)
+    monkeypatch.setattr(oracle, "_matmul_mod", counting_matmul)
     _maximal_minors.__wrapped__(6, 101, 1)
-    assert 0 < len(calls) <= 448
+    assert len(calls) == 6
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 32003, 2**31 - 1])
+def test_square_forms_match_dict_products(p):
+    # At 2^31 - 1 both products of the minor expansion and of the squares
+    # take the 16-bit limb path of _matmul_mod.
+    for s in range(1, 6):
+        for seed in (1, 2, 3):
+            minors = _maximal_minors_reference(s, p, seed)
+            products = [_poly_mul(f, g, p) for i, f in enumerate(minors) for g in minors[i:]]
+            oracle._chains.clear()
+            h0_ideal_square_oracle(s, 2 * s, p, seed)
+            got = oracle._chains[s, p, seed, 2].forms
+            assert np.array_equal(got, _coefficient_rows(products, 2 * s)), (s, seed)
 
 
 def test_macaulay_matrix_matches_dict_loop():
     for s in (1, 2, 3):
         for p in (101, 32003):
-            minors = _maximal_minors(s, p, 1)
+            minors = _maximal_minors_reference(s, p, 1)
             products = [_poly_mul(f, g, p) for i, f in enumerate(minors) for g in minors[i:]]
             for n in range(s, 3 * s + 1):
                 built = _macaulay_matrix(_coefficient_rows(minors, s), monomials(n - s), n)
@@ -288,7 +326,7 @@ def _full_rank(s, n, p, seed, power):
         return 0
     forms = [
         reduce(lambda f, g: _poly_mul(f, g, p), factors)
-        for factors in combinations_with_replacement(_maximal_minors(s, p, seed), power)
+        for factors in combinations_with_replacement(_maximal_minors_reference(s, p, seed), power)
     ]
     return _rank_reference(_macaulay_reference(forms, n - power * s, n), p)
 
