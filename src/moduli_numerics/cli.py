@@ -305,6 +305,12 @@ def _cmd_verify(args) -> tuple[dict, dict, int]:
             }
         )
 
+    def by_twist(oracle, s, top, p):
+        # Each seed runs up every twist before the next starts, so its chain is
+        # never evicted in between, however many seeds there are.
+        by_seed = [[oracle(s, n, p, seed) for n in range(top + 1)] for seed in seeds]
+        return [list(values) for values in zip(*by_seed)]
+
     for n in range(0, 16):
         check("h0_line", None, n, None, h_line(0, n), [h0_line_oracle(n)])
 
@@ -314,11 +320,10 @@ def _cmd_verify(args) -> tuple[dict, dict, int]:
         jsq_bound = curve_invariants(curve).jsq_bound
         n_top = 3 * s if args.max_n is None else min(3 * s, args.max_n)
         for p in primes:
-            for n in range(0, n_top + 1):
-                values = [h0_ideal_oracle(s, n, p, seed) for seed in seeds]
+            for n, values in enumerate(by_twist(h0_ideal_oracle, s, n_top, p)):
                 check("h0_ideal", s, n, p, h_ideal(curve, 0, n), values)
-            for n in range(0, min(jsq_bound, n_top) + 1):
-                values = [h0_ideal_square_oracle(s, n, p, seed) for seed in seeds]
+            squares = by_twist(h0_ideal_square_oracle, s, min(jsq_bound, n_top), p)
+            for n, values in enumerate(squares):
                 check("h0_ideal_square", s, n, p, 0 if n < jsq_bound else None, values)
 
     ok = all(row["ok"] for row in rows)

@@ -148,6 +148,27 @@ def test_verify_majority_mismatch_exits_4(capsys, monkeypatch):
     assert json.loads(out)["result"]["ok"] is False
 
 
+def test_verify_with_more_seeds_than_chains_restarts_none(capsys, monkeypatch):
+    # Seven seeds exceed the six cached chains; asked twist by twist, every
+    # access would evict a chain and rebuild it from its first twist.
+    from moduli_numerics import oracle
+
+    restarts = []
+    restart = oracle._Chain.restart
+
+    def counting(chain):
+        restarts.append(None)
+        restart(chain)
+
+    monkeypatch.setattr(oracle._Chain, "restart", counting)
+    oracle._chains.clear()
+    seeds = [arg for seed in range(1, 8) for arg in ("--seed", str(seed))]
+    argv = ["verify", "--max-s", "3", "--prime", "101", *seeds, "--format", "json"]
+    assert run_cli(capsys, argv)[0] == 0
+    # Each (s, seed, power) chain starts once, in its constructor.
+    assert len(restarts) == 3 * 7 * 2
+
+
 def test_internal_error_exits_5(capsys, monkeypatch):
     def broken(curve):
         raise RuntimeError(f"h^1(O_C(0)) != 0 for s={curve.s}")
