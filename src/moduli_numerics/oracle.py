@@ -215,7 +215,7 @@ def _maximal_minors(s: int, p: int, seed: int) -> np.ndarray:
         minors = _matmul_mod(weights.reshape(len(sets), -1), shifted, p)
         index = {cols: k for k, cols in enumerate(sets)}
     # combinations() yields the set without column s first and without column 0 last.
-    minors = np.ascontiguousarray(minors[::-1])
+    minors = minors[::-1]
     minors.flags.writeable = False
     return minors
 
@@ -297,9 +297,10 @@ def _power_rank(s: int, n: int, p: int, seed: int, power: int) -> int:
     """Degree-n dimension of the minor ideal (power 1) or its square (power 2), as a rank.
 
     Its forms are the minors, or the products f_i * f_j (i <= j) of minors,
-    of degree exactly power * s, so the value is 0 for every n below that.  Each (s, p, seed,
-    power) keeps its reduced basis in the last twist reached and advances it
-    one twist at a time; a twist below that restarts the chain.
+    of degree exactly power * s, so the value is 0 for every n below that.
+    Each (s, p, seed, power) keeps its reduced basis in the last twist
+    reached and advances it one twist at a time; a twist below that restarts
+    the chain.
     """
     _require_prime(p)
     check_parameter(s)
