@@ -46,6 +46,7 @@ JSON_CALLS = [
     ["verify", "--max-s", "4"],
     ["verify", "--max-s", "5"],
     ["verify", "--max-s", "2", "--prime", "2147483647"],
+    ["verify", "--max-s", "3", "--prime", "67108859"],
 ]
 CASES = {
     "_".join(a.lstrip("-") for a in argv): argv
