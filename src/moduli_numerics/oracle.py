@@ -92,7 +92,12 @@ class FiniteFieldMatrix:
         stable-sorted by leading column.  Each pivot reads its column and row
         mod p, so an update subtracts at most (p-1)^2 from an entry; the
         matrix is reduced only after as many unreduced updates as int64 can
-        absorb (2 at p = 2^31 - 1, vastly more for small p).
+        absorb (2 at p = 2^31 - 1, vastly more for small p).  At the first
+        pivot-free column of each run of them, the loop stops if the
+        unpivoted rows are zero mod p from there on: no later column can
+        hold a pivot, so the result is the one a full sweep gives.  Testing
+        once per run makes at most one test per pivot, each over no more
+        entries than a rank update that touches every row.
         """
         p = self.p
         a = self.entries
@@ -103,6 +108,7 @@ class FiniteFieldMatrix:
         budget = (2**63 - 1 - p) // (p - 1) ** 2
         pending = 0
         pivots: list[int] = []
+        test_rest = True
         for c in range(ncols):
             r = len(pivots)
             if r == nrows:
@@ -110,7 +116,11 @@ class FiniteFieldMatrix:
             column = a[:, c] % p
             nz = column[r:].nonzero()[0]
             if nz.size == 0:
+                if test_rest and not (a[r:, c + 1 :] % p).any():
+                    break
+                test_rest = False
                 continue
+            test_rest = True
             pivot = r + int(nz[0])
             if pivot != r:
                 a[[r, pivot]] = a[[pivot, r]]
@@ -130,12 +140,19 @@ class FiniteFieldMatrix:
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """(a @ b) mod p for int64 matrices with entries in 0..p-1, exact in int64.
+    """(a @ b) mod p for int64 matrices with entries in 0..p-1, computed exactly.
 
-    When k (p-1)^2 could overflow, a is split into 16-bit limbs and the inner
-    dimension into chunks of 2^15, so every partial sum stays below 2^62.
+    With inner dimension k, every partial sum is a nonnegative integer at
+    most k (p-1)^2.  Below 2^53 float64 holds each one exactly, whatever
+    order BLAS adds them in, so the product runs in float64 and is reduced
+    after the cast back to int64 (float64 remainder is slower).  Below 2^63
+    it runs in int64, which numpy does without BLAS.  Otherwise a is split
+    into 16-bit limbs and the inner dimension into chunks of 2^15, so every
+    partial sum stays below 2^62.
     """
     k = a.shape[1]
+    if k * (p - 1) ** 2 < 2**53:
+        return np.matmul(a, b, dtype=np.float64).astype(np.int64) % p
     if k * (p - 1) ** 2 < 2**63:
         return a @ b % p
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)

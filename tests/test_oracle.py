@@ -133,6 +133,68 @@ def test_rank_matches_reference_kernel(p, m, n, k, seed, zero_at, repeat_at):
     assert FiniteFieldMatrix(p, np.array(entries)).rank() == _rank_reference(entries, p)
 
 
+def _rref_reference(entries, p):
+    """Pivot columns and reduced rows of the reduced echelon form over Z/p, in Python ints."""
+    a = [[x % p for x in row] for row in entries]
+    pivots = []
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        pick = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if pick is None:
+            continue
+        a[r], a[pick] = a[pick], a[r]
+        inv = pow(a[r][c], -1, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return pivots, a[: len(pivots)]
+
+
+def _assert_echelon_matches(entries, p):
+    pivots, rows = FiniteFieldMatrix(p, np.array(entries, dtype=np.int64)).reduced_echelon()
+    want_pivots, want_rows = _rref_reference(entries, p)
+    assert pivots.tolist() == want_pivots
+    assert rows.tolist() == want_rows
+
+
+def test_echelon_runs_past_pivot_free_columns():
+    # Column 1 is pivot-free while row 1 is still nonzero in column 3, and so is
+    # column 2; the loop must not stop at either.
+    _assert_echelon_matches([[1, 0, 0, 2], [0, 0, 0, 3]], 101)
+    _assert_echelon_matches([[0, 0, 5], [0, 0, 7]], 101)
+    _assert_echelon_matches([[1, 1, 0, 0], [2, 2, 0, 1], [3, 3, 0, 1]], 101)
+    # At 2^31 - 1 the update by the first pivot leaves the last row's column 3
+    # at -p(p-7), a nonzero multiple of p, still unreduced when the stopping
+    # test runs at the pivot-free column 1.
+    p = 2**31 - 1
+    _assert_echelon_matches([[p - 1, 3, 0, 5], [1, p - 3, 0, p - 5], [p - 2, 6, 0, 10]], p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([2, 3, 101, 32003, 2**31 - 1]),
+    st.integers(1, 16),
+    st.integers(1, 16),
+    st.integers(0, 16),
+    st.integers(0, 2**32),
+    st.lists(st.integers(0, 31), max_size=6),
+    st.lists(st.integers(0, 31), max_size=6),
+)
+def test_echelon_matches_reference(p, m, n, k, seed, zero_at, repeat_at):
+    # Zero and repeated columns are pivot-free, and can sit between pivots
+    # while rows further down are still nonzero to their right.
+    rng = Random(seed)
+    columns = [list(col) for col in zip(*_low_rank(rng, m, n, k, p))]
+    for i in zero_at:
+        columns.insert(i % (len(columns) + 1), [0] * m)
+    for i in repeat_at:
+        columns.insert(i % (len(columns) + 1), list(columns[i % len(columns)]))
+    _assert_echelon_matches([list(row) for row in zip(*columns)], p)
+
+
 def test_rank_near_int64_limit():
     # At the largest accepted prime int64 absorbs only two unreduced updates;
     # a kernel that delays reduction further overflows on these matrices.
@@ -309,15 +371,30 @@ def test_prime_check_caches_primes_only():
     assert _require_prime.cache_info().currsize == 2
 
 
-@pytest.mark.parametrize("p", [2, 101, 2**31 - 1])
+@pytest.mark.parametrize("p", [2, 101, 32003, 67108859, 2**31 - 1])
 def test_matmul_mod_is_exact(p):
-    # k = 40,000 exceeds one 2^15 chunk of the 16-bit limb path at p = 2^31 - 1.
+    # k = 40,000 exceeds one 2^15 chunk of the 16-bit limb path at p = 2^31 - 1;
+    # at p = 67108859 the four shapes take the float64, int64 and limb paths.
     rng = np.random.default_rng(p)
     for m, k, q in ((3, 1, 4), (5, 7, 2), (2, 40_000, 1), (4, 0, 2)):
         a = rng.integers(0, p, (m, k), dtype=np.int64)
         b = rng.integers(0, p, (k, q), dtype=np.int64)
         want = [[sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in b.T] for row in a]
         assert _matmul_mod(a, b, p).tolist() == want
+
+
+def test_matmul_mod_float64_bound_at_its_edge():
+    p = 67108859  # 2^26 - 5
+    # k = 2, entries p - 1: the sum 2 (p-1)^2 is just below 2^53, so float64 is exact.
+    a = np.full((1, 2), p - 1, dtype=np.int64)
+    assert 2 * (p - 1) ** 2 < 2**53
+    assert _matmul_mod(a, a.T, p).tolist() == [[2 * (p - 1) ** 2 % p]]
+    # k = 3, entries p - 2: the sum 3 (p-2)^2 is odd and above 2^53, where float64
+    # rounds it, so this product must stay out of the float64 branch.
+    a = np.full((1, 3), p - 2, dtype=np.int64)
+    want = 3 * (p - 2) ** 2 % p
+    assert (np.matmul(a, a.T, dtype=np.float64).astype(np.int64) % p).tolist() != [[want]]
+    assert _matmul_mod(a, a.T, p).tolist() == [[want]]
 
 
 def _full_rank(s, n, p, seed, power):
