@@ -47,6 +47,7 @@ JSON_CALLS = [
     ["verify", "--max-s", "5"],
     ["verify", "--max-s", "2", "--prime", "2147483647"],
     ["verify", "--max-s", "3", "--prime", "67108859"],
+    ["verify", "--max-s", "4", "--prime", "2147483647"],
 ]
 CASES = {
     "_".join(a.lstrip("-") for a in argv): argv
