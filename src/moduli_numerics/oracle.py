@@ -11,7 +11,7 @@ run several seeds and take a majority.  Every value is reproducible from
 
 from __future__ import annotations
 
-from collections import Counter, OrderedDict
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -142,23 +142,28 @@ class FiniteFieldMatrix:
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """(a @ b) mod p for int64 matrices with entries in 0..p-1, computed exactly.
 
-    With inner dimension k, every partial sum is a nonnegative integer at
-    most k (p-1)^2.  Below 2^53 float64 holds each one exactly, whatever
-    order BLAS adds them in, so the product runs in float64 and is reduced
-    after the cast back to int64 (float64 remainder is slower).  Below 2^63
-    it runs in int64, which numpy does without BLAS.  Otherwise a is split
-    into 16-bit limbs and the inner dimension into chunks of 2^15, so every
-    partial sum stays below 2^62.
+    a is split into base-2^w digits.  With inner dimension k, every partial
+    sum of a digit's product is a nonnegative integer at most
+    k (2^w - 1)(p - 1); w is the widest width, up to the bit length of p - 1,
+    that keeps it below 2^53, where float64 holds each one exactly, whatever
+    order BLAS adds them in.  Each digit's product runs in float64, is reduced
+    after the cast back to int64 (float64 remainder is slower) and is added
+    in at its shift.  At p = 101 and 32003 that is one digit, a itself.
     """
-    k = a.shape[1]
-    if k * (p - 1) ** 2 < 2**53:
-        return np.matmul(a, b, dtype=np.float64).astype(np.int64) % p
-    if k * (p - 1) ** 2 < 2**63:
-        return a @ b % p
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for i in range(0, k, 2**15):
-        lo, hi, part = a[:, i : i + 2**15] & 0xFFFF, a[:, i : i + 2**15] >> 16, b[i : i + 2**15]
-        out = (out + lo @ part % p + (hi @ part % p << 16)) % p
+    k, bits = a.shape[1], (p - 1).bit_length()
+    w = min(bits, ((2**53 - 1) // (k * (p - 1) or 1) + 1).bit_length() - 1)
+    if w < 1:
+        raise RuntimeError(f"no exact float64 product mod {p} with inner dimension {k}")
+    out = 0
+    for shift in range(0, bits, w):
+        digit = a if w == bits else a >> shift & (1 << w) - 1
+        part = np.matmul(digit, b, dtype=np.float64).astype(np.int64)
+        part %= p
+        if shift:
+            part *= pow(2, shift, p)
+            part += out
+            part %= p
+        out = part
     return out
 
 
@@ -257,15 +262,11 @@ class _Chain:
 
     def __init__(self, p: int, forms: np.ndarray, d: int) -> None:
         self.p, self.forms, self.d = p, forms, d  # forms: coefficient rows of F over monomials(d)
-        self.restart()
-
-    def restart(self) -> None:
-        """Back to twist d - 1, where the ideal is zero."""
-        width = comb(self.d + 2, 3)
-        self.n, self.added = self.d - 1, 0
+        # Twist d - 1, where the ideal is zero; ranks[i] is the rank at twist d - 1 + i.
+        self.n, self.added, self.ranks = d - 1, 0, [0]
         self.pivots = np.zeros(0, dtype=np.intp)
-        self.free = np.arange(width)
-        self.block = np.zeros((0, width), dtype=np.int64)
+        self.free = np.arange(comb(d + 2, 3))
+        self.block = np.zeros((0, len(self.free)), dtype=np.int64)
 
     def advance(self) -> None:
         """Step from B_n to B_{n+1}, eliminating only the rows that x0*B_n misses.
@@ -303,44 +304,42 @@ class _Chain:
         self.free = free[keep]
         self.block = np.vstack([top, reduced[:, keep]])
         self.n, self.added = n, len(found)
+        self.ranks.append(len(self.pivots))
 
 
 # verify and the oracle benchmark interleave three seeds and both powers.
-_CHAIN_CAPACITY = 6
-_chains: OrderedDict[tuple[int, int, int, int], _Chain] = OrderedDict()
+@lru_cache(maxsize=6)
+def _chain(s: int, p: int, seed: int, power: int) -> _Chain:
+    """A chain of the minor ideal (power 1) or its square (power 2), built at twist power*s - 1.
+
+    Its forms are the minors, or the products f_i * f_j (i <= j) of minors,
+    of degree exactly power * s.  The cache hands the same chain to every
+    later call, which advances it in place.
+    """
+    forms = _maximal_minors(s, p, seed)
+    if power == 2:
+        # f_i * f_j for i <= j: row k of shifted[i] is f_i times monomials(s)[k].
+        shifted = _macaulay_matrix(forms, monomials(s), 2 * s).reshape(s + 1, len(forms[0]), -1)
+        forms = np.vstack([_matmul_mod(forms[i:], shifted[i], p) for i in range(s + 1)])
+    return _Chain(p, forms, power * s)
 
 
 def _power_rank(s: int, n: int, p: int, seed: int, power: int) -> int:
     """Degree-n dimension of the minor ideal (power 1) or its square (power 2), as a rank.
 
-    Its forms are the minors, or the products f_i * f_j (i <= j) of minors,
-    of degree exactly power * s, so the value is 0 for every n below that.
-    Each (s, p, seed, power) keeps its reduced basis in the last twist
-    reached and advances it one twist at a time; a twist below that restarts
-    the chain.
+    The value is 0 for every n below the forms' degree power * s.  Each
+    cached chain advances one twist at a time and keeps the rank at every
+    twist it passes, so a lower twist is read back.
     """
     _require_prime(p)
     check_parameter(s)
     d = power * s
     if n < d:
         return 0
-    key = (s, p, seed, power)
-    chain = _chains.pop(key, None)
-    if chain is None:
-        forms = _maximal_minors(s, p, seed)
-        if power == 2:
-            # f_i * f_j for i <= j: row k of shifted[i] is f_i times monomials(s)[k].
-            shifted = _macaulay_matrix(forms, monomials(s), d).reshape(s + 1, len(forms[0]), -1)
-            forms = np.vstack([_matmul_mod(forms[i:], shifted[i], p) for i in range(s + 1)])
-        chain = _Chain(p, forms, d)
-    elif n < chain.n:
-        chain.restart()
-    _chains[key] = chain
-    if len(_chains) > _CHAIN_CAPACITY:
-        _chains.popitem(last=False)
+    chain = _chain(s, p, seed, power)
     while chain.n < n:
         chain.advance()
-    return len(chain.pivots)
+    return chain.ranks[n - d + 1]
 
 
 def h0_ideal_oracle(s: int, n: int, p: int, seed: int) -> int:

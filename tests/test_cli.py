@@ -148,25 +148,25 @@ def test_verify_majority_mismatch_exits_4(capsys, monkeypatch):
     assert json.loads(out)["result"]["ok"] is False
 
 
-def test_verify_with_more_seeds_than_chains_restarts_none(capsys, monkeypatch):
+def test_verify_with_more_seeds_than_chains_builds_each_chain_once(capsys, monkeypatch):
     # Seven seeds exceed the six cached chains; asked twist by twist, every
     # access would evict a chain and rebuild it from its first twist.
     from moduli_numerics import oracle
 
-    restarts = []
-    restart = oracle._Chain.restart
+    built = []
+    init = oracle._Chain.__init__
 
-    def counting(chain):
-        restarts.append(None)
-        restart(chain)
+    def counting(chain, *args):
+        built.append(None)
+        init(chain, *args)
 
-    monkeypatch.setattr(oracle._Chain, "restart", counting)
-    oracle._chains.clear()
+    monkeypatch.setattr(oracle._Chain, "__init__", counting)
+    oracle._chain.cache_clear()
     seeds = [arg for seed in range(1, 8) for arg in ("--seed", str(seed))]
     argv = ["verify", "--max-s", "3", "--prime", "101", *seeds, "--format", "json"]
     assert run_cli(capsys, argv)[0] == 0
-    # Each (s, seed, power) chain starts once, in its constructor.
-    assert len(restarts) == 3 * 7 * 2
+    # One chain per (s, seed, power).
+    assert len(built) == 3 * 7 * 2
 
 
 def test_internal_error_exits_5(capsys, monkeypatch):

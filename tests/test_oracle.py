@@ -313,14 +313,12 @@ def test_shared_expansion_multiplies_each_minor_once(monkeypatch):
 @pytest.mark.parametrize("p", [2, 3, 101, 32003, 2**31 - 1])
 def test_square_forms_match_dict_products(p):
     # At 2^31 - 1 both products of the minor expansion and of the squares
-    # take the 16-bit limb path of _matmul_mod.
+    # take several digits in _matmul_mod.
     for s in range(1, 6):
         for seed in (1, 2, 3):
             minors = _maximal_minors_reference(s, p, seed)
             products = [_poly_mul(f, g, p) for i, f in enumerate(minors) for g in minors[i:]]
-            oracle._chains.clear()
-            h0_ideal_square_oracle(s, 2 * s, p, seed)
-            got = oracle._chains[s, p, seed, 2].forms
+            got = oracle._chain.__wrapped__(s, p, seed, 2).forms
             assert np.array_equal(got, _coefficient_rows(products, 2 * s)), (s, seed)
 
 
@@ -373,8 +371,8 @@ def test_prime_check_caches_primes_only():
 
 @pytest.mark.parametrize("p", [2, 101, 32003, 67108859, 2**31 - 1])
 def test_matmul_mod_is_exact(p):
-    # k = 40,000 exceeds one 2^15 chunk of the 16-bit limb path at p = 2^31 - 1;
-    # at p = 67108859 the four shapes take the float64, int64 and limb paths.
+    # a is one digit at p <= 32003; at p = 67108859 the shapes with k = 7 and
+    # 40,000 split it into 2 and 3 digits, and at 2^31 - 1 into 2 and 6.
     rng = np.random.default_rng(p)
     for m, k, q in ((3, 1, 4), (5, 7, 2), (2, 40_000, 1), (4, 0, 2)):
         a = rng.integers(0, p, (m, k), dtype=np.int64)
@@ -385,16 +383,67 @@ def test_matmul_mod_is_exact(p):
 
 def test_matmul_mod_float64_bound_at_its_edge():
     p = 67108859  # 2^26 - 5
-    # k = 2, entries p - 1: the sum 2 (p-1)^2 is just below 2^53, so float64 is exact.
-    a = np.full((1, 2), p - 1, dtype=np.int64)
-    assert 2 * (p - 1) ** 2 < 2**53
-    assert _matmul_mod(a, a.T, p).tolist() == [[2 * (p - 1) ** 2 % p]]
-    # k = 3, entries p - 2: the sum 3 (p-2)^2 is odd and above 2^53, where float64
-    # rounds it, so this product must stay out of the float64 branch.
+    # At k = 2 one product of a itself is exact (test_matmul_mod_at_the_digit_edge).
+    # At k = 3, entries p - 2, the sum 3 (p-2)^2 is odd and above 2^53, where
+    # float64 rounds it, so this product must split a into digits.
     a = np.full((1, 3), p - 2, dtype=np.int64)
     want = 3 * (p - 2) ** 2 % p
     assert (np.matmul(a, a.T, dtype=np.float64).astype(np.int64) % p).tolist() != [[want]]
     assert _matmul_mod(a, a.T, p).tolist() == [[want]]
+
+
+@pytest.mark.parametrize(
+    "p, w", [(67108859, 26), (67108859, 20), (67108859, 13), (2**31 - 1, 22), (2**31 - 1, 9)]
+)
+def test_matmul_mod_at_the_digit_edge(p, w):
+    # k is the largest inner dimension with w-bit digits: a digit product of
+    # entries p - 1 sums to at most k (2^w - 1)(p - 1), just below 2^53.
+    k = (2**53 - 1) // ((2**w - 1) * (p - 1))
+    assert k * (2**w - 1) * (p - 1) < 2**53 <= (k + 1) * (2**w - 1) * (p - 1)
+    a = np.full((2, k), p - 1, dtype=np.int64)
+    assert _matmul_mod(a, a.T, p).tolist() == [[k * (p - 1) ** 2 % p] * 2] * 2
+    # Entries 2^(w+1) - 1 times p - 2 at odd k: one (w+1)-bit digit would sum
+    # an odd integer above 2^53, which float64 rounds.
+    if 2 ** (w + 1) < p:
+        k -= 1 - k % 2
+        a = np.full((1, k), 2 ** (w + 1) - 1, dtype=np.int64)
+        b = np.full((k, 1), p - 2, dtype=np.int64)
+        want = k * (2 ** (w + 1) - 1) * (p - 2)
+        assert want > 2**53 and want % 2
+        assert int(np.matmul(a, b, dtype=np.float64)[0, 0]) != want
+        assert _matmul_mod(a, b, p).tolist() == [[want % p]]
+
+
+@pytest.mark.parametrize("p", [101, 32003])
+def test_matmul_mod_default_primes_take_one_product(p, monkeypatch):
+    rng = np.random.default_rng(p)
+    a = rng.integers(0, p, (4, 3000), dtype=np.int64)
+    b = rng.integers(0, p, (3000, 5), dtype=np.int64)
+    operands = []
+    matmul = np.matmul
+
+    def counting(x, y, **kwargs):
+        operands.append(x)
+        return matmul(x, y, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counting)
+    got = _matmul_mod(a, b, p)
+    monkeypatch.undo()
+    # One float64 product, of a itself.
+    assert len(operands) == 1 and operands[0] is a
+    assert got.tolist() == (a @ b % p).tolist()
+
+
+def test_matmul_mod_refuses_an_inexact_product():
+    # At p = 2^31 - 1, k (p - 1) stays below 2^53 up to k = 2^22, so 1-bit
+    # digits are exact; at k = 2^23 no width is.  Zero-size operands allocate
+    # nothing.
+    p = 2**31 - 1
+    a, b = np.zeros((0, 2**22), dtype=np.int64), np.zeros((2**22, 0), dtype=np.int64)
+    assert _matmul_mod(a, b, p).shape == (0, 0)
+    a, b = np.zeros((0, 2**23), dtype=np.int64), np.zeros((2**23, 0), dtype=np.int64)
+    with pytest.raises(RuntimeError):
+        _matmul_mod(a, b, p)
 
 
 def _full_rank(s, n, p, seed, power):
@@ -411,8 +460,8 @@ def _full_rank(s, n, p, seed, power):
 @pytest.mark.parametrize("p", [2, 3, 101, 32003, 2**31 - 1])
 def test_chained_ranks_match_full_matrix_ranks(p):
     # Ten chains, more than the cache holds: ascending twists advance each
-    # chain, descending ones restart it, and the shuffled order interleaves
-    # all ten, so chains are evicted and rebuilt.
+    # chain, descending ones read lower twists back, and the shuffled order
+    # interleaves all ten, so chains are evicted and rebuilt.
     chains = [
         (s, seed, power)
         for s in (1, 2, 3)
@@ -428,30 +477,47 @@ def test_chained_ranks_match_full_matrix_ranks(p):
     ascending = list(want)
     shuffled = list(want)
     Random(p).shuffle(shuffled)
-    oracle._chains.clear()
+    oracle._chain.cache_clear()
     for order in (ascending, ascending[::-1], shuffled):
         for (s, seed, power), n in order:
             got = (h0_ideal_oracle if power == 1 else h0_ideal_square_oracle)(s, n, p, seed)
             assert got == want[(s, seed, power), n], (s, seed, power, n)
-        assert len(oracle._chains) == oracle._CHAIN_CAPACITY
+        info = oracle._chain.cache_info()
+        assert info.currsize == info.maxsize
 
 
-def test_step_eliminates_only_the_rows_x0_misses(monkeypatch):
-    # From n = 11 to 12 at s = 4: 68 rows of x1 * E_11 and 9 * 5 generator
-    # multiples; the whole Macaulay matrix has 825 rows.
-    eliminated = []
+@pytest.fixture
+def eliminated(monkeypatch):
+    """Row counts of the matrices reduced from here on, with no chain cached."""
+    oracle._chain.cache_clear()
+    rows = []
     echelon = FiniteFieldMatrix.reduced_echelon
 
     def counting(matrix):
-        eliminated.append(matrix.rows)
+        rows.append(matrix.rows)
         return echelon(matrix)
 
-    h0_ideal_oracle(4, 11, 101, 1)
     monkeypatch.setattr(FiniteFieldMatrix, "reduced_echelon", counting)
+    return rows
+
+
+def test_step_eliminates_only_the_rows_x0_misses(eliminated):
+    # From n = 11 to 12 at s = 4: 68 rows of x1 * E_11 and 9 * 5 generator
+    # multiples; the whole Macaulay matrix has 825 rows.
+    h0_ideal_oracle(4, 11, 101, 1)
+    eliminated.clear()
     assert h0_ideal_oracle(4, 12, 101, 1) == h_ideal(determinantal_curve(4), 0, 12)
     assert 0 < sum(eliminated) <= 113
     eliminated.clear()
     assert h0_ideal_oracle(4, 12, 101, 1) == h_ideal(determinantal_curve(4), 0, 12)
+    assert eliminated == []
+
+
+def test_lower_twists_are_read_back(eliminated):
+    h0_ideal_oracle(4, 12, 101, 1)
+    eliminated.clear()
+    for n in range(4, 12):
+        assert h0_ideal_oracle(4, n, 101, 1) == h_ideal(determinantal_curve(4), 0, n), n
     assert eliminated == []
 
 
