@@ -263,7 +263,7 @@ _CATALOG = {
     # encodes the propagation step from c2 to c2 + 1; only the resulting range
     # is modeled, not the deformation argument behind it.
     IntervalLabel.GOOD_TAIL: (
-        lambda delta: Fraction(optimal_parameters(delta).c2_min),
+        _c2_min,
         None,
         True, False, False, 4,
     ),

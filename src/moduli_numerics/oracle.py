@@ -88,23 +88,19 @@ class FiniteFieldMatrix:
         """Gauss-Jordan elimination over Z/p, with delayed reduction mod p.
 
         Returns the pivot columns, increasing, and the reduced rows: row i is
-        1 at pivots[i] and 0 at every other pivot column.  Rows are first
-        stable-sorted by leading column.  Each pivot reads its column and row
-        mod p, so an update subtracts at most (p-1)^2 from an entry; the
-        matrix is reduced only after as many unreduced updates as int64 can
-        absorb (2 at p = 2^31 - 1, vastly more for small p).  At the first
-        pivot-free column of each run of them, the loop stops if the
-        unpivoted rows are zero mod p from there on: no later column can
+        1 at pivots[i] and 0 at every other pivot column.  Each pivot reads
+        its column and row mod p, so an update subtracts at most (p-1)^2 from
+        an entry; the matrix is reduced only after as many unreduced updates
+        as int64 can absorb (2 at p = 2^31 - 1, vastly more for small p).  At
+        the first pivot-free column of each run of them, the loop stops if
+        the unpivoted rows are zero mod p from there on: no later column can
         hold a pivot, so the result is the one a full sweep gives.  Testing
         once per run makes at most one test per pivot, each over no more
         entries than a rank update that touches every row.
         """
         p = self.p
-        a = self.entries
+        a = self.entries.copy()
         nrows, ncols = a.shape
-        # A trailing all-true column gives a zero row the leading column ncols.
-        lead = np.argmax(np.column_stack([a != 0, np.ones(nrows, dtype=bool)]), axis=1)
-        a = a[np.argsort(lead, kind="stable")]
         budget = (2**63 - 1 - p) // (p - 1) ** 2
         pending = 0
         pivots: list[int] = []
@@ -178,12 +174,12 @@ def _column_of(degree: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _shifted_columns(multipliers: tuple[Exponent, ...], total_degree: int) -> np.ndarray:
+def _product_columns(multipliers: tuple[Exponent, ...], total_degree: int) -> np.ndarray:
     """Entry [j, k]: the degree-``total_degree`` column of multipliers[j] * monomials(d)[k]."""
     shift = np.array(multipliers, dtype=np.intp)
     basis = np.array(monomials(total_degree - sum(multipliers[0])), dtype=np.intp).reshape(-1, 4)
-    shifted = shift[:, None, :] + basis[None, :, :]
-    columns = _column_of(total_degree)[shifted[..., 0], shifted[..., 1], shifted[..., 2]]
+    products = shift[:, None, :] + basis[None, :, :]
+    columns = _column_of(total_degree)[products[..., 0], products[..., 1], products[..., 2]]
     columns.flags.writeable = False
     return columns
 
@@ -197,7 +193,7 @@ def _macaulay_matrix(
     has degree total_degree - d.  Row ``i * len(multipliers) + j`` is forms[i]
     times multipliers[j]; columns follow monomials(total_degree).
     """
-    columns = _shifted_columns(tuple(multipliers), total_degree)
+    columns = _product_columns(tuple(multipliers), total_degree)
     m = len(multipliers)
     rows = np.arange(len(forms) * m).reshape(len(forms), m)
     matrix = np.zeros((len(forms) * m, comb(total_degree + 3, 3)), dtype=np.int64)
@@ -206,7 +202,7 @@ def _macaulay_matrix(
 
 
 _UNITS: tuple[Exponent, ...] = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-_X0, _X1 = _UNITS[:2]
+_X1 = _UNITS[1]
 
 
 @lru_cache(maxsize=128)
@@ -233,8 +229,8 @@ def _maximal_minors(s: int, p: int, seed: int) -> np.ndarray:
         for k, cols in enumerate(sets):
             for i, j in enumerate(cols):
                 weights[k, index[cols[:i] + cols[i + 1 :]]] = signed[i % 2, j]
-        shifted = _macaulay_matrix(minors, _UNITS, t)
-        minors = _matmul_mod(weights.reshape(len(sets), -1), shifted, p)
+        multiples = _macaulay_matrix(minors, _UNITS, t)
+        minors = _matmul_mod(weights.reshape(len(sets), -1), multiples, p)
         index = {cols: k for k, cols in enumerate(sets)}
     # combinations() yields the set without column s first and without column 0 last.
     minors = minors[::-1]
@@ -284,30 +280,33 @@ class _Chain:
         new_rows = np.vstack(
             [_macaulay_matrix(last, [_X1], n), _macaulay_matrix(self.forms, x2x3, n)]
         )
-        x0 = _shifted_columns((_X0,), n)[0]
-        # Monomials without x0 come first in monomials(n); x0 maps the rest in order.
+        # Monomials without x0 come first in monomials(n); x0 maps monomials(n - 1)
+        # onto the rest in order, so column c of twist n - 1 is x0_free + c here.
         x0_free = comb(n + 2, 2)
-        free = np.concatenate([np.arange(x0_free), x0[self.free]])
+        free = np.concatenate([np.arange(x0_free), x0_free + self.free])
         pending = new_rows[:, free]
-        pending[:, x0_free:] -= _matmul_mod(new_rows[:, x0[self.pivots]], self.block, p)
+        pending[:, x0_free:] -= _matmul_mod(new_rows[:, x0_free + self.pivots], self.block, p)
         found, reduced = FiniteFieldMatrix(p, pending).reduced_echelon()
         keep = np.ones(len(free), dtype=bool)
         keep[found] = False
-        # x0*B_n on the columns left over; it is zero on the x0-free ones.
-        shifted = np.zeros((len(self.block), len(free)), dtype=np.int64)
-        shifted[:, x0_free:] = self.block
-        top = shifted[:, keep]
+        # B_{n+1}: x0*B_n, zero on the x0-free columns, over the reduced new rows.
+        old = len(self.block)
+        block = np.zeros((old + len(found), len(free) - len(found)), dtype=np.int64)
+        top = block[:old]
+        top[:, np.count_nonzero(keep[:x0_free]) :] = self.block[:, keep[x0_free:]]
         back = found >= x0_free
         if back.any():
-            top = (top - _matmul_mod(shifted[:, found[back]], reduced[back][:, keep], p)) % p
-        self.pivots = np.concatenate([x0[self.pivots], free[found]])
-        self.free = free[keep]
-        self.block = np.vstack([top, reduced[:, keep]])
+            top -= _matmul_mod(self.block[:, found[back] - x0_free], reduced[back][:, keep], p)
+            top %= p
+        block[old:] = reduced[:, keep]
+        self.pivots = np.concatenate([x0_free + self.pivots, free[found]])
+        self.free, self.block = free[keep], block
         self.n, self.added = n, len(found)
         self.ranks.append(len(self.pivots))
 
 
-# verify and the oracle benchmark interleave three seeds and both powers.
+# verify runs each chain to its last twist before building the next, so one slot
+# would serve it; the oracle benchmark interleaves three seeds and both powers.
 @lru_cache(maxsize=6)
 def _chain(s: int, p: int, seed: int, power: int) -> _Chain:
     """A chain of the minor ideal (power 1) or its square (power 2), built at twist power*s - 1.
@@ -316,11 +315,11 @@ def _chain(s: int, p: int, seed: int, power: int) -> _Chain:
     of degree exactly power * s.  The cache hands the same chain to every
     later call, which advances it in place.
     """
-    forms = _maximal_minors(s, p, seed)
+    forms = minors = _maximal_minors(s, p, seed)
     if power == 2:
-        # f_i * f_j for i <= j: row k of shifted[i] is f_i times monomials(s)[k].
-        shifted = _macaulay_matrix(forms, monomials(s), 2 * s).reshape(s + 1, len(forms[0]), -1)
-        forms = np.vstack([_matmul_mod(forms[i:], shifted[i], p) for i in range(s + 1)])
+        # f_i * f_j for i <= j, from one Macaulay block f_i * monomials(s) at a time.
+        blocks = (_macaulay_matrix(minors[i : i + 1], monomials(s), 2 * s) for i in range(s + 1))
+        forms = np.vstack([_matmul_mod(minors[i:], b, p) for i, b in enumerate(blocks)])
     return _Chain(p, forms, power * s)
 
 

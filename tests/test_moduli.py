@@ -157,6 +157,22 @@ def test_lower_endpoints_match_c2_min():
         assert good_tail_interval(delta).lower == c2_min
 
 
+def test_good_tail_evaluates_no_certificate(monkeypatch):
+    # The lower endpoint is the closed form; optimal_certificate checks it
+    # against the certificate's c2 (test_lower_endpoints_match_c2_min).
+    calls = []
+    real = moduli.certificate
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(moduli, "certificate", counting)
+    for delta in (4, 5, 40):
+        assert interval_for("good_tail", delta).lower == moduli._c2_min(delta)
+    assert calls == []
+
+
 def test_semistable_flag():
     assert semistable_interval(16).stable_unknown
     assert not two_component_interval(16).stable_unknown

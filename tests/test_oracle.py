@@ -2,6 +2,7 @@
 
 from functools import reduce
 from itertools import combinations, combinations_with_replacement, permutations
+from math import comb
 from random import Random
 
 import numpy as np
@@ -33,6 +34,13 @@ def test_monomial_enumeration():
         assert len(set(mons)) == len(mons)
         assert all(sum(e) == n for e in mons)
     assert monomials(-2) == []
+
+
+def test_x0_multiples_come_last_in_order():
+    # _Chain.advance reads column c of twist n - 1 as column C(n + 2, 2) + c of twist n.
+    for n in range(1, 25):
+        tail = monomials(n)[comb(n + 2, 2) :]
+        assert tail == [(a + 1, b, c, d) for a, b, c, d in monomials(n - 1)], n
 
 
 def test_line_oracle_examples():
@@ -519,6 +527,50 @@ def test_lower_twists_are_read_back(eliminated):
     for n in range(4, 12):
         assert h0_ideal_oracle(4, n, 101, 1) == h_ideal(determinantal_curve(4), 0, n), n
     assert eliminated == []
+
+
+@pytest.mark.parametrize("p", [101, 2**31 - 1])
+@pytest.mark.parametrize("control", ["x0x1-x0x2", "x0l-q"])
+def test_back_substitution_on_x0_torsion_controls(p, control, monkeypatch):
+    # x0 is a zero divisor modulo both ideals, so every step finds pivots on
+    # x0-columns and makes two products mod p: the clearing and the
+    # back-substitution.  I = (x0 x1, x0 x2) = x0 (x1, x2) has dimension
+    # C(n + 2, 3) - n, and x0*B_n vanishes on its new pivot columns.  The
+    # complete intersection of x0 l and q, for a seeded linear form l and
+    # quadric q, has dimension 2 C(n + 1, 3) - C(n - 1, 3); from n = 3 on, its
+    # back-substitution changes x0*B_n.
+    rng = Random(p)
+    quadrics = monomials(2)
+    x0_x = [(2, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1)]  # x0 * x_k, k = 0..3
+    x0_times = [quadrics.index(e) for e in x0_x]
+    forms = np.zeros((2, len(quadrics)), dtype=np.int64)
+    if control == "x0x1-x0x2":
+        forms[:, x0_times] = [[0, 1, 0, 0], [0, 0, 1, 0]]
+        want = [comb(n + 2, 3) - n for n in range(2, 9)]
+    else:
+        forms[0, x0_times] = [rng.randrange(p) for _ in range(4)]
+        forms[1] = [rng.randrange(p) for _ in quadrics]
+        want = [2 * comb(n + 1, 3) - comb(n - 1, 3) for n in range(2, 9)]
+    calls = []
+
+    def counting(a, b, q):
+        calls.append(None)
+        return _matmul_mod(a, b, q)
+
+    monkeypatch.setattr(oracle, "_matmul_mod", counting)
+    chain = oracle._Chain(p, forms, 2)
+    for n, dim in zip(range(2, 9), want):
+        calls.clear()
+        chain.advance()
+        assert len(calls) == 2, n
+        assert chain.ranks[-1] == len(chain.block) == dim, n
+        assert ((chain.block >= 0) & (chain.block < p)).all(), n
+        # B_n lies in I_n: it adds nothing to the rank of the full Macaulay matrix.
+        basis = np.zeros((dim, len(monomials(n))), dtype=np.int64)
+        basis[np.arange(dim), chain.pivots] = 1
+        basis[:, chain.free] = chain.block
+        full = _macaulay_matrix(forms, monomials(n - 2), n)
+        assert FiniteFieldMatrix(p, np.vstack([full, basis])).rank() == dim, n
 
 
 def test_oracle_examples():
