@@ -58,19 +58,69 @@ def h0_line_oracle(n: int) -> int:
     return len(monomials(n))
 
 
+def _reduced_echelon(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jordan elimination over Z/p, in place on a C-ordered int64 array a.
+
+    Returns the pivot columns, increasing, and the reduced rows: row i is 1
+    at pivots[i] and 0 at every other pivot column.  Entries of a lie in
+    (-p, p).  Each pivot reads its column and row mod p, so an update
+    subtracts a value in 0..(p-1)^2, and a is reduced only after ``budget``
+    updates (2 at p = 2^31 - 1, vastly more for small p), which leave every
+    entry above -(p-1) - (2^63-1-p) > -2^63.  At the first pivot-free column
+    of each run of them, the loop stops if the unpivoted rows are zero mod p
+    from there on: no later column can hold a pivot, so the result is the
+    one a full sweep gives.  Testing once per run makes at most one test per
+    pivot, each over no more entries than a rank update that touches every
+    row.
+    """
+    nrows, ncols = a.shape
+    budget = (2**63 - 1 - p) // (p - 1) ** 2
+    pending = 0
+    pivots: list[int] = []
+    test_rest = True
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        column = a[:, c] % p
+        nz = column[r:].nonzero()[0]
+        if nz.size == 0:
+            if test_rest and not (a[r:, c + 1 :] % p).any():
+                break
+            test_rest = False
+            continue
+        test_rest = True
+        pivot = r + int(nz[0])
+        if pivot != r:
+            a[[r, pivot]] = a[[pivot, r]]
+            column[[r, pivot]] = column[[pivot, r]]
+        row = a[r, c:] % p
+        a[r, c:] = row = row * pow(int(row[0]), -1, p) % p
+        column[r] = 0
+        others = column.nonzero()[0]
+        if others.size:
+            a[others, c:] -= np.outer(column[others], row)
+            pending += 1
+            if pending == budget:
+                a[:, c:] %= p
+                pending = 0
+        pivots.append(c)
+    return np.array(pivots, dtype=np.intp), a[: len(pivots)] % p
+
+
 @dataclass
 class FiniteFieldMatrix:
-    """A dense matrix over Z/p, reduced by int64 Gauss-Jordan elimination."""
+    """A validated dense matrix over Z/p; ``rank`` reduces a copy of its entries."""
 
     p: int
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         _require_prime(self.p)
-        entries = np.asarray(self.entries, dtype=np.int64)
-        if entries.ndim != 2:
-            raise PreconditionError(f"matrix must be 2-dimensional, got shape {entries.shape}")
-        self.entries = entries % self.p
+        entries = np.asarray(self.entries)
+        if entries.ndim != 2 or not np.can_cast(entries.dtype, np.int64):
+            raise PreconditionError(f"not a 2-D int64 matrix: {entries.dtype} {entries.shape}")
+        self.entries = entries.astype(np.int64) % self.p
 
     @property
     def rows(self) -> int:
@@ -82,57 +132,7 @@ class FiniteFieldMatrix:
 
     def rank(self) -> int:
         """The number of pivots of the reduced echelon form."""
-        return len(self.reduced_echelon()[0])
-
-    def reduced_echelon(self) -> tuple[np.ndarray, np.ndarray]:
-        """Gauss-Jordan elimination over Z/p, with delayed reduction mod p.
-
-        Returns the pivot columns, increasing, and the reduced rows: row i is
-        1 at pivots[i] and 0 at every other pivot column.  Each pivot reads
-        its column and row mod p, so an update subtracts at most (p-1)^2 from
-        an entry; the matrix is reduced only after as many unreduced updates
-        as int64 can absorb (2 at p = 2^31 - 1, vastly more for small p).  At
-        the first pivot-free column of each run of them, the loop stops if
-        the unpivoted rows are zero mod p from there on: no later column can
-        hold a pivot, so the result is the one a full sweep gives.  Testing
-        once per run makes at most one test per pivot, each over no more
-        entries than a rank update that touches every row.
-        """
-        p = self.p
-        a = self.entries.copy()
-        nrows, ncols = a.shape
-        budget = (2**63 - 1 - p) // (p - 1) ** 2
-        pending = 0
-        pivots: list[int] = []
-        test_rest = True
-        for c in range(ncols):
-            r = len(pivots)
-            if r == nrows:
-                break
-            column = a[:, c] % p
-            nz = column[r:].nonzero()[0]
-            if nz.size == 0:
-                if test_rest and not (a[r:, c + 1 :] % p).any():
-                    break
-                test_rest = False
-                continue
-            test_rest = True
-            pivot = r + int(nz[0])
-            if pivot != r:
-                a[[r, pivot]] = a[[pivot, r]]
-                column[[r, pivot]] = column[[pivot, r]]
-            row = a[r, c:] % p
-            a[r, c:] = row = row * pow(int(row[0]), -1, p) % p
-            column[r] = 0
-            others = column.nonzero()[0]
-            if others.size:
-                a[others, c:] -= np.outer(column[others], row)
-                pending += 1
-                if pending == budget:
-                    a[:, c:] %= p
-                    pending = 0
-            pivots.append(c)
-        return np.array(pivots, dtype=np.intp), a[: len(pivots)] % p
+        return len(_reduced_echelon(self.entries.copy(), self.p)[0])
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -284,9 +284,13 @@ class _Chain:
         # onto the rest in order, so column c of twist n - 1 is x0_free + c here.
         x0_free = comb(n + 2, 2)
         free = np.concatenate([np.arange(x0_free), x0_free + self.free])
-        pending = new_rows[:, free]
-        pending[:, x0_free:] -= _matmul_mod(new_rows[:, x0_free + self.pivots], self.block, p)
-        found, reduced = FiniteFieldMatrix(p, pending).reduced_echelon()
+        # take() gathers in C order; the echelon runs 1.5x slower on new_rows[:, free] (Fortran).
+        pending = new_rows.take(free, axis=1)
+        on_pivots = new_rows.take(x0_free + self.pivots, axis=1)
+        del last, new_rows  # nothing full-width stays alive through the clearing product
+        pending[:, x0_free:] -= _matmul_mod(on_pivots, self.block, p)  # entries now in (-p, p)
+        found, reduced = _reduced_echelon(pending, p)
+        del pending, on_pivots  # else the basis rewrite below would peak above the product
         keep = np.ones(len(free), dtype=bool)
         keep[found] = False
         # B_{n+1}: x0*B_n, zero on the x0-free columns, over the reduced new rows.

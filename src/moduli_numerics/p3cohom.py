@@ -34,10 +34,6 @@ class FreeSheafSum:
     def of(cls, terms: Iterable[tuple[int, int]]) -> "FreeSheafSum":
         return cls(tuple((int(t), int(m)) for t, m in terms))
 
-    @property
-    def rank(self) -> int:
-        return sum(mult for _, mult in self.terms)
-
 
 def h_line(i: int, n: int) -> int:
     """h^i(P^3, O(n)): counting h^0, vanishing middle, Serre-dual h^3."""

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moduli_numerics import oracle
-from moduli_numerics.arith import binom_trunc
+from moduli_numerics import cli, oracle
+from moduli_numerics.arith import PreconditionError, binom_trunc
 from moduli_numerics.curves import determinantal_curve, h_ideal
 from moduli_numerics.oracle import (
     FiniteFieldMatrix,
@@ -162,7 +162,7 @@ def _rref_reference(entries, p):
 
 
 def _assert_echelon_matches(entries, p):
-    pivots, rows = FiniteFieldMatrix(p, np.array(entries, dtype=np.int64)).reduced_echelon()
+    pivots, rows = oracle._reduced_echelon(np.array(entries, dtype=np.int64), p)
     want_pivots, want_rows = _rref_reference(entries, p)
     assert pivots.tolist() == want_pivots
     assert rows.tolist() == want_rows
@@ -200,7 +200,12 @@ def test_echelon_matches_reference(p, m, n, k, seed, zero_at, repeat_at):
         columns.insert(i % (len(columns) + 1), [0] * m)
     for i in repeat_at:
         columns.insert(i % (len(columns) + 1), list(columns[i % len(columns)]))
-    _assert_echelon_matches([list(row) for row in zip(*columns)], p)
+    entries = [list(row) for row in zip(*columns)]
+    _assert_echelon_matches(entries, p)
+    # A chain step hands the kernel entries in (-p, p): shift about half the
+    # nonzero ones down by p.
+    shifted = [[x - p if x and rng.random() < 0.5 else x for x in row] for row in entries]
+    _assert_echelon_matches(shifted, p)
 
 
 def test_rank_near_int64_limit():
@@ -211,6 +216,10 @@ def test_rank_near_int64_limit():
         entries = _low_rank(Random(k), 12, 10, k, p)
         assert _rank_reference(entries, p) == k
         assert FiniteFieldMatrix(p, np.array(entries)).rank() == k
+        # Every nonzero entry at its lowest admissible value, x - p > -p.
+        shifted = np.array(entries, dtype=np.int64)
+        shifted[shifted != 0] -= p
+        assert len(oracle._reduced_echelon(shifted, p)[0]) == k
 
 
 def test_rank_leaves_entries_unchanged():
@@ -351,6 +360,14 @@ def test_rank_edge_cases():
     # entries reduce mod p: the second row is 101 * first
     reduced = FiniteFieldMatrix(101, np.array([[1, 2], [101, 202]]))
     assert reduced.rank() == 1
+
+
+@pytest.mark.parametrize(
+    "entries", [[[1.5, 2.7]], [[1.0, 2.0]], [[1 + 2j]], [[2**63]], [[2**64, 1]], [[1, 2**63]]]
+)
+def test_matrix_rejects_entries_that_are_not_int64_integers(entries):
+    with pytest.raises(PreconditionError, match="2-D int64 matrix"):
+        FiniteFieldMatrix(101, entries)
 
 
 def test_prime_validation():
@@ -496,16 +513,18 @@ def test_chained_ranks_match_full_matrix_ranks(p):
 
 @pytest.fixture
 def eliminated(monkeypatch):
-    """Row counts of the matrices reduced from here on, with no chain cached."""
+    """Row counts of the arrays reduced from here on, with no chain cached."""
     oracle._chain.cache_clear()
     rows = []
-    echelon = FiniteFieldMatrix.reduced_echelon
+    echelon = oracle._reduced_echelon
 
-    def counting(matrix):
-        rows.append(matrix.rows)
-        return echelon(matrix)
+    def counting(a, p):
+        # The kernel sweeps columns in place; a Fortran-ordered gather slows it 1.5x.
+        assert a.flags.c_contiguous
+        rows.append(len(a))
+        return echelon(a, p)
 
-    monkeypatch.setattr(FiniteFieldMatrix, "reduced_echelon", counting)
+    monkeypatch.setattr(oracle, "_reduced_echelon", counting)
     return rows
 
 
@@ -519,6 +538,16 @@ def test_step_eliminates_only_the_rows_x0_misses(eliminated):
     eliminated.clear()
     assert h0_ideal_oracle(4, 12, 101, 1) == h_ideal(determinantal_curve(4), 0, 12)
     assert eliminated == []
+
+
+def test_chain_steps_build_no_matrix_object(eliminated, monkeypatch, capsys):
+    # Each step reduces its own rows in place; FiniteFieldMatrix is only the
+    # validated whole-matrix front.
+    built = []
+    monkeypatch.setattr(FiniteFieldMatrix, "__post_init__", lambda matrix: built.append(None))
+    assert cli.run(["verify", "--max-s", "3", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert eliminated and built == []
 
 
 def test_lower_twists_are_read_back(eliminated):

@@ -48,7 +48,7 @@ def test_free_sum_examples():
 
 def test_zero_sheaf():
     zero = FreeSheafSum.of([])
-    assert zero.rank == 0
+    assert zero.terms == ()
     assert h_free_sum(0, zero, 5) == 0
     assert chi_free_sum(zero, 5) == 0
 
@@ -67,7 +67,7 @@ def test_linearity_over_terms(term_list, n):
     for i in range(4):
         assert h_free_sum(i, sheaf, n) == sum(m * h_line(i, t + n) for t, m in term_list)
     assert chi_free_sum(sheaf, n) == sum(m * chi_line(t + n) for t, m in term_list)
-    assert sheaf.rank == sum(m for _, m in term_list)
+    assert sheaf.terms == tuple(term_list)
 
 
 @given(terms, st.integers(-12, 12))
