@@ -254,6 +254,21 @@ class _Chain:
     inside x0*I_n + x1*<E_n>.  Nothing here needs x0 to be a nonzerodivisor,
     so the rank is still measured on the span of the form-times-monomial
     products.
+
+    B_n is the reduced row echelon form of I_n, columns in monomials(n)
+    order: each row's first nonzero entry is its pivot.  That order puts the
+    x0-free monomials first and is lexicographic in the exponents, so x0 and
+    x1 map monomials(n) into monomials(n+1) in order: x0 onto the last
+    columns, and x1 the x0-free monomials to x0-free ones.  So x0*B_n is in
+    echelon form.  For e in E_n with an x0-free pivot c, x1*e is zero before
+    x1*c, 1 there and 0 at x1 times every other pivot; clearing x0*B_n's
+    pivots changes only x0-columns, so these rows stay reduced.  The rest
+    (the generator multiples and x1*e for the other e) is cleared on both
+    pivot sets and reduced on the columns left.  Back-substituting its
+    pivots changes no row at or before the row's own pivot: the row is zero
+    at any earlier pivot, and a row of the rest is zero before its own.  So
+    the result is the reduced echelon form of I_{n+1}, which is unique: a
+    full elimination of the whole Macaulay matrix gives the same rows.
     """
 
     def __init__(self, p: int, forms: np.ndarray, d: int) -> None:
@@ -265,21 +280,29 @@ class _Chain:
         self.block = np.zeros((0, len(self.free)), dtype=np.int64)
 
     def advance(self) -> None:
-        """Step from B_n to B_{n+1}, eliminating only the rows that x0*B_n misses.
+        """Step from B_n to B_{n+1}, eliminating only the rows that x0*B_n and x1*E_n miss.
 
         x0*B_n is already reduced: one product clears the new rows on its
-        pivot columns, Gauss-Jordan reduces what remains on the other
-        columns (x0-free columns first), and a second product
-        back-substitutes the new pivots into x0*B_n.
+        pivot columns.  After it, the rows x1*e for e in E_n with an x0-free
+        pivot are reduced too (see the class docstring).  A second product
+        clears the rest on their pivots, Gauss-Jordan reduces the rest on the
+        other columns (x0-free columns first), and one product
+        back-substitutes the new pivots into the x1*e rows, another into
+        x0*B_n when some of them are x0-columns.
         """
-        p, n = self.p, self.n + 1
-        last = np.zeros((self.added, comb(n + 2, 3)), dtype=np.int64)  # E_n, all columns
-        last[np.arange(self.added), self.pivots[len(self.pivots) - self.added :]] = 1
-        last[:, self.free] = self.block[len(self.block) - self.added :]
+        p, n, added = self.p, self.n + 1, self.added
+        pivots = self.pivots[len(self.pivots) - added :]
+        # x1*E_n, then the generator multiples, over all columns; the r rows of
+        # E_n with an x0-free pivot (c < C(n + 1, 2)) come first.
+        reused = pivots < comb(n + 1, 2)
+        r, order = np.count_nonzero(reused), np.argsort(~reused, kind="stable")
+        x1 = _product_columns((_X1,), n)[0]  # column of x1 * monomials(n - 1)[c]
         x2x3 = [(0, 0, c, n - self.d - c) for c in range(n - self.d + 1)]
-        new_rows = np.vstack(
-            [_macaulay_matrix(last, [_X1], n), _macaulay_matrix(self.forms, x2x3, n)]
-        )
+        multiples = _macaulay_matrix(self.forms, x2x3, n)
+        new_rows = np.zeros((added + len(multiples), comb(n + 3, 3)), dtype=np.int64)
+        new_rows[np.arange(added), x1[pivots[order]]] = 1
+        new_rows[:added, x1[self.free]] = self.block[len(self.block) - added :][order]
+        new_rows[added:] = multiples
         # Monomials without x0 come first in monomials(n); x0 maps monomials(n - 1)
         # onto the rest in order, so column c of twist n - 1 is x0_free + c here.
         x0_free = comb(n + 2, 2)
@@ -287,25 +310,38 @@ class _Chain:
         # take() gathers in C order; the echelon runs 1.5x slower on new_rows[:, free] (Fortran).
         pending = new_rows.take(free, axis=1)
         on_pivots = new_rows.take(x0_free + self.pivots, axis=1)
-        del last, new_rows  # nothing full-width stays alive through the clearing product
-        pending[:, x0_free:] -= _matmul_mod(on_pivots, self.block, p)  # entries now in (-p, p)
-        found, reduced = _reduced_echelon(pending, p)
-        del pending, on_pivots  # else the basis rewrite below would peak above the product
+        del multiples, new_rows  # nothing full-width stays alive through the clearing product
+        cleared = pending[:, x0_free:]
+        cleared -= _matmul_mod(on_pivots, self.block, p)
+        cleared %= p  # so the rest stays in (-p, p) after the next product
+        del on_pivots, cleared
+        # x1 times the reused rows is reduced on x1 times their pivots, still x0-free columns.
+        x1_rows, rest = pending[:r], pending[r:]
+        x1_pivots = x1[pivots[reused]]
+        rest -= _matmul_mod(rest[:, x1_pivots], x1_rows, p)  # entries now in (-p, p)
+        found, reduced = _reduced_echelon(rest, p)
         keep = np.ones(len(free), dtype=bool)
+        keep[x1_pivots] = False
         keep[found] = False
-        # B_{n+1}: x0*B_n, zero on the x0-free columns, over the reduced new rows.
+        # B_{n+1}: x0*B_n, zero on the x0-free columns, over x1*E_n's rows and the rest's.
         old = len(self.block)
-        block = np.zeros((old + len(found), len(free) - len(found)), dtype=np.int64)
+        block = np.zeros((old + r + len(found), np.count_nonzero(keep)), dtype=np.int64)
+        bottom = block[old:]
+        bottom[:r] = x1_rows[:, keep]
+        bottom[r:] = reduced[:, keep]
+        on_found = x1_rows[:, found]
+        del pending, x1_rows, rest, reduced  # none stays alive through the products below
+        bottom[:r] -= _matmul_mod(on_found, bottom[r:], p)
+        bottom[:r] %= p
         top = block[:old]
         top[:, np.count_nonzero(keep[:x0_free]) :] = self.block[:, keep[x0_free:]]
         back = found >= x0_free
         if back.any():
-            top -= _matmul_mod(self.block[:, found[back] - x0_free], reduced[back][:, keep], p)
+            top -= _matmul_mod(self.block[:, found[back] - x0_free], bottom[r:][back], p)
             top %= p
-        block[old:] = reduced[:, keep]
-        self.pivots = np.concatenate([x0_free + self.pivots, free[found]])
+        self.pivots = np.concatenate([x0_free + self.pivots, x1_pivots, free[found]])
         self.free, self.block = free[keep], block
-        self.n, self.added = n, len(found)
+        self.n, self.added = n, r + len(found)
         self.ranks.append(len(self.pivots))
 
 

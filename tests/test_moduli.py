@@ -105,6 +105,20 @@ def test_c2_min_closed_forms_to_100():
             assert 4 * c2 == delta * (delta - 1) * (delta - 3)
 
 
+@pytest.mark.parametrize("delta", range(4, 13))
+def test_c2_min_is_the_least_c2_of_a_good_certificate(delta):
+    # Brute force over every (s, sigma) with s < 4 delta and 1 <= sigma <= 2s + 1:
+    # the certified minimum is a minimum, not only the value at the optimal choice.
+    good = []
+    for s in range(1, 4 * delta):
+        for sigma in range(1, 2 * s + 2):
+            with contextlib.suppress(PreconditionError):
+                cert = certificate(delta, s, sigma)
+                if cert.good:
+                    good.append(cert.c2)
+    assert min(good) == moduli._c2_min(delta)
+
+
 def test_optimal_parameters_rejects_uncertified_choice(monkeypatch):
     real = moduli.certificate
     monkeypatch.setattr(

@@ -511,6 +511,29 @@ def test_chained_ranks_match_full_matrix_ranks(p):
         assert info.currsize == info.maxsize
 
 
+@pytest.mark.parametrize("p", [2, 101, 32003, 2**31 - 1])
+def test_chain_basis_is_the_reduced_echelon_form_of_the_whole_matrix(p):
+    # The reduced echelon form of I_n is unique, and chain steps eliminate
+    # only part of it, so the chain must hold exactly the rows that reducing
+    # the whole Macaulay matrix gives, at every twist up to 3s.
+    for s in (1, 2, 3, 4):
+        for power in (1, 2):
+            chain = oracle._chain.__wrapped__(s, p, 1, power)  # uncached
+            for n in range(power * s, 3 * s + 1):
+                chain.advance()
+                whole = _macaulay_matrix(chain.forms, monomials(n - power * s), n)
+                want_pivots, want_rows = oracle._reduced_echelon(whole, p)
+                # The block holds exactly the columns that are not pivots.
+                columns = np.sort(np.concatenate([chain.pivots, chain.free]))
+                assert np.array_equal(columns, np.arange(len(monomials(n)))), (s, power, n)
+                order = np.argsort(chain.pivots)
+                rows = np.zeros((len(order), len(monomials(n))), dtype=np.int64)
+                rows[np.arange(len(order)), chain.pivots] = 1
+                rows[:, chain.free] = chain.block
+                assert np.array_equal(chain.pivots[order], want_pivots), (s, power, n)
+                assert np.array_equal(rows[order], want_rows), (s, power, n)
+
+
 @pytest.fixture
 def eliminated(monkeypatch):
     """Row counts of the arrays reduced from here on, with no chain cached."""
@@ -521,6 +544,8 @@ def eliminated(monkeypatch):
     def counting(a, p):
         # The kernel sweeps columns in place; a Fortran-ordered gather slows it 1.5x.
         assert a.flags.c_contiguous
+        # Its int64 budget counts on entries in (-p, p).
+        assert (np.abs(a) < p).all()
         rows.append(len(a))
         return echelon(a, p)
 
@@ -528,13 +553,14 @@ def eliminated(monkeypatch):
     return rows
 
 
-def test_step_eliminates_only_the_rows_x0_misses(eliminated):
-    # From n = 11 to 12 at s = 4: 68 rows of x1 * E_11 and 9 * 5 generator
-    # multiples; the whole Macaulay matrix has 825 rows.
+def test_step_eliminates_only_the_generator_multiples(eliminated):
+    # From n = 11 to 12 at s = 4: the 68 rows of x1 * E_11 all have x0-free
+    # pivots (x0 is a nonzerodivisor), so only the 9 * 5 generator multiples
+    # are eliminated; the whole Macaulay matrix has 825 rows.
     h0_ideal_oracle(4, 11, 101, 1)
     eliminated.clear()
     assert h0_ideal_oracle(4, 12, 101, 1) == h_ideal(determinantal_curve(4), 0, 12)
-    assert 0 < sum(eliminated) <= 113
+    assert eliminated == [9 * 5]
     eliminated.clear()
     assert h0_ideal_oracle(4, 12, 101, 1) == h_ideal(determinantal_curve(4), 0, 12)
     assert eliminated == []
@@ -562,12 +588,15 @@ def test_lower_twists_are_read_back(eliminated):
 @pytest.mark.parametrize("control", ["x0x1-x0x2", "x0l-q"])
 def test_back_substitution_on_x0_torsion_controls(p, control, monkeypatch):
     # x0 is a zero divisor modulo both ideals, so every step finds pivots on
-    # x0-columns and makes two products mod p: the clearing and the
-    # back-substitution.  I = (x0 x1, x0 x2) = x0 (x1, x2) has dimension
+    # x0-columns and makes four products mod p: the clearing on x0*B_n, the
+    # clearing on x1*E_n's x0-free pivots, and the back-substitutions into
+    # x1*E_n and into x0*B_n.  I = (x0 x1, x0 x2) = x0 (x1, x2) has dimension
     # C(n + 2, 3) - n, and x0*B_n vanishes on its new pivot columns.  The
     # complete intersection of x0 l and q, for a seeded linear form l and
     # quadric q, has dimension 2 C(n + 1, 3) - C(n - 1, 3); from n = 3 on, its
-    # back-substitution changes x0*B_n.
+    # back-substitution changes x0*B_n, and the step to n takes E_{n-1} with
+    # both kinds of rows: x0-free pivots, kept out of the elimination, and
+    # x0-column pivots, eliminated with the generator multiples.
     rng = Random(p)
     quadrics = monomials(2)
     x0_x = [(2, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1)]  # x0 * x_k, k = 0..3
@@ -589,9 +618,13 @@ def test_back_substitution_on_x0_torsion_controls(p, control, monkeypatch):
     monkeypatch.setattr(oracle, "_matmul_mod", counting)
     chain = oracle._Chain(p, forms, 2)
     for n, dim in zip(range(2, 9), want):
+        last = chain.pivots[len(chain.pivots) - chain.added :]
+        x0_free = set((last < comb(n + 1, 2)).tolist())  # E_{n-1}'s pivots at twist n - 1
+        if n > 2:
+            assert x0_free == ({False} if control == "x0x1-x0x2" else {True, False}), n
         calls.clear()
         chain.advance()
-        assert len(calls) == 2, n
+        assert len(calls) == 4, n
         assert chain.ranks[-1] == len(chain.block) == dim, n
         assert ((chain.block >= 0) & (chain.block < p)).all(), n
         # B_n lies in I_n: it adds nothing to the rank of the full Macaulay matrix.
