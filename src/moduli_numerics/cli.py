@@ -4,7 +4,8 @@ Every subcommand returns its inputs, its result and an exit code; ``run``
 encodes them into one report dict, and the three formats render that dict, so
 their numeric content is identical.  Integers are serialized as decimal
 strings (c2 formulas are cubic in delta and overflow 64-bit consumers),
-rationals as "num/den", and unbounded quantities as null.
+rationals as "num/den", infinite quantities as "inf" and unbounded interval
+data as null.
 
 Exit codes: 0 success, 2 usage error, 3 precondition failure (a
 ``PreconditionError`` from an input check), 4 oracle mismatch, 5 internal
@@ -23,7 +24,7 @@ from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 
-from .arith import PreconditionError
+from .arith import PreconditionError, twist_range
 from .curves import curve_invariants, determinantal_curve, h_curve_structure, h_ideal
 from .moduli import (
     ComponentInterval,
@@ -139,19 +140,13 @@ def render_csv(report: dict) -> str:
 RENDERERS = {"text": render_text, "json": render_json, "csv": render_csv}
 
 
-def _twist_range(n_min: int, n_max: int) -> range:
-    if n_min > n_max:
-        raise PreconditionError(f"empty twist range {n_min}..{n_max}")
-    return range(n_min, n_max + 1)
-
-
 def _cmd_surface(args) -> tuple[dict, dict, int]:
     surface = hypersurface(args.delta)
     result = {"h_square": surface.h_square, "k": surface.k, "chi0": surface.chi0}
     if args.c2 is not None:
         result["expected_dim"] = expected_dim(surface, args.c2)
     rows = []
-    for n in _twist_range(args.n_min, args.n_max):
+    for n in twist_range(args.n_min, args.n_max):
         row = {"n": n, "chi_OX": chi_OX(surface, n)}
         if args.c2 is not None:
             row["chi_E"] = chi_E(surface, args.c2, n)
@@ -166,7 +161,7 @@ def _cmd_curve(args) -> tuple[dict, dict, int]:
     inv = curve_invariants(curve)
     n_max = args.n_max if args.n_max is not None else 3 * curve.s
     rows = []
-    for n in _twist_range(args.n_min, n_max):
+    for n in twist_range(args.n_min, n_max):
         rows.append(
             {
                 "n": n,

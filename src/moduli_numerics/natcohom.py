@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import PreconditionError
+from .arith import PreconditionError, twist_range
 from .surfaces import SurfaceNumerics, chi_E, chi_OX, chi_OX_poly, check_degree, hypersurface
 
 
@@ -96,10 +96,10 @@ def hilbert_profile(
     present unproven cohomology as fact, so the call is refused instead.
 
     ``beta`` defaults to the computed hypersurface value and must be supplied
-    for a surface constructed from raw numerics.
+    for a surface constructed from raw numerics.  The twists n_min..n_max
+    follow ``twist_range``: nonempty and at most MAX_TWIST_ROWS of them.
     """
-    if n_min > n_max:
-        raise PreconditionError(f"empty twist range {n_min}..{n_max}")
+    twists = twist_range(n_min, n_max)
     if beta is None:
         if surface.delta is None:
             raise PreconditionError(
@@ -119,7 +119,7 @@ def hilbert_profile(
             raise RuntimeError(f"chi(E({k // 2})) > 0 at the midpoint with c2={c2} > gamma")
 
     rows = []
-    for n in range(n_min, n_max + 1):
+    for n in twists:
         if 2 * n >= k:
             rows.append(_upper_row(surface, c2, n))
         else:

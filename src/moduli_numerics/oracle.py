@@ -269,6 +269,12 @@ class _Chain:
     at any earlier pivot, and a row of the rest is zero before its own.  So
     the result is the reduced echelon form of I_{n+1}, which is unique: a
     full elimination of the whole Macaulay matrix gives the same rows.
+
+    A step writes E_{n+1} as the rows x1*e, whose pivots are x0-free, then the
+    rest's pivots in increasing order; ``free`` lists the x0-free columns
+    first, so those pivots come before the x0-columns.  Hence E_n's rows with
+    an x0-free pivot are its leading rows (E_d is the reduced F alone), and a
+    step reads E_n in the order the last step wrote it.
     """
 
     def __init__(self, p: int, forms: np.ndarray, d: int) -> None:
@@ -292,16 +298,15 @@ class _Chain:
         """
         p, n, added = self.p, self.n + 1, self.added
         pivots = self.pivots[len(self.pivots) - added :]
-        # x1*E_n, then the generator multiples, over all columns; the r rows of
-        # E_n with an x0-free pivot (c < C(n + 1, 2)) come first.
-        reused = pivots < comb(n + 1, 2)
-        r, order = np.count_nonzero(reused), np.argsort(~reused, kind="stable")
+        # x1*E_n, then the generator multiples, over all columns; E_n's rows with
+        # an x0-free pivot (c < C(n + 1, 2)) are its leading r (class docstring).
+        r = np.count_nonzero(pivots < comb(n + 1, 2))
         x1 = _product_columns((_X1,), n)[0]  # column of x1 * monomials(n - 1)[c]
         x2x3 = [(0, 0, c, n - self.d - c) for c in range(n - self.d + 1)]
         multiples = _macaulay_matrix(self.forms, x2x3, n)
         new_rows = np.zeros((added + len(multiples), comb(n + 3, 3)), dtype=np.int64)
-        new_rows[np.arange(added), x1[pivots[order]]] = 1
-        new_rows[:added, x1[self.free]] = self.block[len(self.block) - added :][order]
+        new_rows[np.arange(added), x1[pivots]] = 1
+        new_rows[:added, x1[self.free]] = self.block[len(self.block) - added :]
         new_rows[added:] = multiples
         # Monomials without x0 come first in monomials(n); x0 maps monomials(n - 1)
         # onto the rest in order, so column c of twist n - 1 is x0_free + c here.
@@ -317,7 +322,7 @@ class _Chain:
         del on_pivots, cleared
         # x1 times the reused rows is reduced on x1 times their pivots, still x0-free columns.
         x1_rows, rest = pending[:r], pending[r:]
-        x1_pivots = x1[pivots[reused]]
+        x1_pivots = x1[pivots[:r]]
         rest -= _matmul_mod(rest[:, x1_pivots], x1_rows, p)  # entries now in (-p, p)
         found, reduced = _reduced_echelon(rest, p)
         keep = np.ones(len(free), dtype=bool)

@@ -206,6 +206,11 @@ def test_bare_value_error_exits_5(capsys, monkeypatch):
             ["construct", "--delta", "4", "--s", "0", "--sigma", "1"],
             "determinantal parameter must be >= 1, got 0",
         ),
+        (
+            # Refused before any row is built: 10^9 rows would exhaust memory.
+            ["surface", "--delta", "4", "--n-min", "-1000000000"],
+            "twist range -1000000000..6 has 1000000007 rows, more than 100000",
+        ),
     ],
 )
 def test_library_input_checks_exit_3(capsys, argv, message):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moduli_numerics import natcohom
+from moduli_numerics.arith import PreconditionError
 from moduli_numerics.natcohom import (
     beta_for_hypersurface,
     gamma,
@@ -110,6 +111,9 @@ def test_profile_requires_beta_for_raw_surfaces():
 def test_profile_rejects_empty_range():
     with pytest.raises(ValueError):
         hilbert_profile(hypersurface(4), 41, 5, 4)
+    # A range over the row cap is refused too, before any row is built.
+    with pytest.raises(PreconditionError, match="has 1000000001 rows, more than 100000"):
+        hilbert_profile(hypersurface(4), 41, 0, 10**9)
 
 
 @settings(deadline=None)

@@ -511,11 +511,17 @@ def test_chained_ranks_match_full_matrix_ranks(p):
         assert info.currsize == info.maxsize
 
 
+def _leads(mask: np.ndarray) -> bool:
+    """Whether the True entries of a boolean row mask are its leading entries."""
+    return not (mask[1:] > mask[:-1]).any()
+
+
 @pytest.mark.parametrize("p", [2, 101, 32003, 2**31 - 1])
 def test_chain_basis_is_the_reduced_echelon_form_of_the_whole_matrix(p):
     # The reduced echelon form of I_n is unique, and chain steps eliminate
     # only part of it, so the chain must hold exactly the rows that reducing
-    # the whole Macaulay matrix gives, at every twist up to 3s.
+    # the whole Macaulay matrix gives, at every twist up to 3s.  The next step
+    # reads E_n unsorted, so its rows with an x0-free pivot must lead it.
     for s in (1, 2, 3, 4):
         for power in (1, 2):
             chain = oracle._chain.__wrapped__(s, p, 1, power)  # uncached
@@ -532,6 +538,8 @@ def test_chain_basis_is_the_reduced_echelon_form_of_the_whole_matrix(p):
                 rows[:, chain.free] = chain.block
                 assert np.array_equal(chain.pivots[order], want_pivots), (s, power, n)
                 assert np.array_equal(rows[order], want_rows), (s, power, n)
+                last = chain.pivots[len(chain.pivots) - chain.added :]
+                assert _leads(last < comb(n + 2, 2)), (s, power, n)
 
 
 @pytest.fixture
@@ -619,9 +627,12 @@ def test_back_substitution_on_x0_torsion_controls(p, control, monkeypatch):
     chain = oracle._Chain(p, forms, 2)
     for n, dim in zip(range(2, 9), want):
         last = chain.pivots[len(chain.pivots) - chain.added :]
-        x0_free = set((last < comb(n + 1, 2)).tolist())  # E_{n-1}'s pivots at twist n - 1
+        x0_free = last < comb(n + 1, 2)  # E_{n-1}'s pivots at twist n - 1
+        assert _leads(x0_free), n
         if n > 2:
-            assert x0_free == ({False} if control == "x0x1-x0x2" else {True, False}), n
+            assert set(x0_free.tolist()) == (
+                {False} if control == "x0x1-x0x2" else {True, False}
+            ), n
         calls.clear()
         chain.advance()
         assert len(calls) == 4, n
