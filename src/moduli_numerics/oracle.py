@@ -202,7 +202,6 @@ def _macaulay_matrix(
 
 
 _UNITS: tuple[Exponent, ...] = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-_X1 = _UNITS[1]
 
 
 @lru_cache(maxsize=128)
@@ -243,71 +242,109 @@ class _Chain:
 
     Row i of B_n is 1 at column ``pivots[i]``, 0 at every other pivot column,
     and ``block[i]`` on the remaining columns ``free`` (increasing).  The last
-    ``added`` rows are E_n, the rows that the step to n added.
+    ``added`` rows are E_n, the rows that the step to n added, so that
+    I_n = x0*I_{n-1} + <E_n>.  Each row of E_n has a class k in {1, 2, 3}, the
+    variable that made it: x1*e and x2*e rows are classes 1 and 2, and x3*e
+    rows are class 3, as are the rows that ``_reduced_echelon`` found (E_d,
+    the reduced F at the forms' degree d, among them).  A step to n + 1
+    multiplies each row only by the variables that may follow it:
 
-    A step to n + 1 uses I_{n+1} = x0*I_n + x1*<E_n> + k[x2,x3]_{n+1-d}*F,
-    where F is the list of forms, all of degree d, and E_d is the reduced F.
-    Proof, by induction on n: every basis product m*f of I_{n+1} lies in
-    x0*I_n if x0 | m, in x1*I_n if x1 | m, and in k[x2,x3]_{n+1-d}*F
-    otherwise.  A step builds B_n so that I_n = x0*I_{n-1} + <E_n> (for
-    n = d, I_{d-1} = 0), hence x1*I_n lies in x0*(x1*I_{n-1}) + x1*<E_n>,
-    inside x0*I_n + x1*<E_n>.  Nothing here needs x0 to be a nonzerodivisor,
-    so the rank is still measured on the span of the form-times-monomial
-    products.
+        I_{n+1} = x0*I_n + x1*<E_n> + x2*<E_n of class >= 2> + x3*<E_n of class 3>.
+
+    Proof, for every F and every prime, with no genericity assumption.  Call
+    the right-hand side R; it lies in I_{n+1}.  Every basis product of
+    I_{n+1} is x_j times a basis product of I_n, so it suffices that
+    x_j*I_n lies in R for each j.
+    1. A class-k row of E_n is x_k*e' for some e' in E_{n-1}, plus an element
+       of x0*I_{n-1} (clearing on x0*B_{n-1}), plus rows of E_n of lower class
+       (clearing on the earlier groups) and class-3 rows of E_n
+       (back-substitution).
+    2. So for j > k, x_j times it lies in x0*I_n + x_k*I_n + x_j*<E_n of
+       class < k> + x_j*<E_n of class 3>, as x_j*e' lies in I_n.
+    3. x0*I_n lies in R, and x_k*I_n = x0*(x_k*I_{n-1}) + x_k*<E_n> lies in
+       x0*I_n + x_k*<E_n>.  x_k times a row of class >= k is in R by
+       definition, and x_k times a row of lower class is in R by 2 and
+       induction on k.  Hence x_k*I_n lies in R for k = 1, 2, 3.
+    Nothing here needs x0 to be a nonzerodivisor, so the rank is still
+    measured on the span of the form-times-monomial products, and F enters
+    once, at twist d, where the chain starts.
 
     B_n is the reduced row echelon form of I_n, columns in monomials(n)
-    order: each row's first nonzero entry is its pivot.  That order puts the
-    x0-free monomials first and is lexicographic in the exponents, so x0 and
-    x1 map monomials(n) into monomials(n+1) in order: x0 onto the last
-    columns, and x1 the x0-free monomials to x0-free ones.  So x0*B_n is in
-    echelon form.  For e in E_n with an x0-free pivot c, x1*e is zero before
-    x1*c, 1 there and 0 at x1 times every other pivot; clearing x0*B_n's
-    pivots changes only x0-columns, so these rows stay reduced.  The rest
-    (the generator multiples and x1*e for the other e) is cleared on both
-    pivot sets and reduced on the columns left.  Back-substituting its
-    pivots changes no row at or before the row's own pivot: the row is zero
-    at any earlier pivot, and a row of the rest is zero before its own.  So
-    the result is the reduced echelon form of I_{n+1}, which is unique: a
-    full elimination of the whole Macaulay matrix gives the same rows.
+    order: each row's first nonzero entry is its pivot.  That order is
+    lexicographic in the exponents of x0, x1 and x2, so the first
+    C(n+3-k, 3-k) columns are the monomials free of x0..x_{k-1}, and each x_k
+    maps monomials(n) into monomials(n+1) in order, x0 onto the last columns;
+    x0*B_n is in echelon form.  For e of class >= k whose pivot c is free of
+    x0..x_{k-1}, the reused row x_k*e has pivot x_k*c, free of x0..x_{k-1}
+    and divisible by x_k, so the pivots of the three groups k are distinct
+    and none is an x0-column.  x_k*e is zero before x_k*c, 1 there and 0 at
+    x_k times every other pivot of B_n.  Clearing it on x0*B_n's pivots
+    changes only x0-columns.  A group-j row then lies on columns divisible
+    by one of x0..x_j, all past x_k*c for k > j, and zero at every later
+    group's pivots.  So clearing group k on the earlier groups' pivots
+    (group 2 on group 1, then group 3 on groups 1 and 2) changes only columns
+    past x_k*c, keeps it zero at its own group's other pivots and keeps it
+    on columns divisible by one of x0..x_k.  The rest (x_k*e for the other
+    e) is cleared on x0*B_n's and all groups' pivots and reduced on the
+    columns left.  Back-substituting its pivots changes no row at or before
+    the row's own pivot: the row is zero at any earlier pivot, and a row of
+    the rest is zero before its own.  So the result is the reduced echelon
+    form of I_{n+1}, which is unique: a full elimination of the whole
+    Macaulay matrix gives the same rows.
 
-    A step writes E_{n+1} as the rows x1*e, whose pivots are x0-free, then the
-    rest's pivots in increasing order; ``free`` lists the x0-free columns
-    first, so those pivots come before the x0-columns.  Hence E_n's rows with
-    an x0-free pivot are its leading rows (E_d is the reduced F alone), and a
-    step reads E_n in the order the last step wrote it.
+    E_n is stored as [class 1 | class 2 | class 3], class 3 in increasing
+    pivot order (group 3 holds at most the row with pivot x3^n, column 0,
+    ahead of the rest's pivots); ``starts`` holds the row of E_n where
+    classes 1, 2 and 3 begin.  Class-1 pivots are free of x0 and class-2
+    pivots free of x0 and x1, so among the rows that x_k multiplies, E_n from
+    starts[k-1] on, those with a pivot free of x0..x_{k-1} lead: a step reads
+    E_n in the order the last step wrote it, with no sort.
     """
 
     def __init__(self, p: int, forms: np.ndarray, d: int) -> None:
-        self.p, self.forms, self.d = p, forms, d  # forms: coefficient rows of F over monomials(d)
-        # Twist d - 1, where the ideal is zero; ranks[i] is the rank at twist d - 1 + i.
-        self.n, self.added, self.ranks = d - 1, 0, [0]
-        self.pivots = np.zeros(0, dtype=np.intp)
-        self.free = np.arange(comb(d + 2, 3))
-        self.block = np.zeros((0, len(self.free)), dtype=np.int64)
+        self.p, self.forms = p, forms  # forms: coefficient rows of F over monomials(d)
+        # B_d is the reduced F, all of class 3; ranks[i] is the rank at twist d - 1 + i.
+        pivots, reduced = _reduced_echelon(forms.copy(), p)
+        keep = np.ones(forms.shape[1], dtype=bool)
+        keep[pivots] = False
+        self.n, self.added, self.starts = d, len(pivots), (0, 0, 0)
+        self.pivots, self.free, self.block = pivots, np.flatnonzero(keep), reduced[:, keep]
+        self.ranks = [0, len(pivots)]
 
     def advance(self) -> None:
-        """Step from B_n to B_{n+1}, eliminating only the rows that x0*B_n and x1*E_n miss.
+        """Step from B_n to B_{n+1}, eliminating only the rows that x0*B_n and the reused rows miss.
 
-        x0*B_n is already reduced: one product clears the new rows on its
-        pivot columns.  After it, the rows x1*e for e in E_n with an x0-free
-        pivot are reduced too (see the class docstring).  A second product
-        clears the rest on their pivots, Gauss-Jordan reduces the rest on the
-        other columns (x0-free columns first), and one product
-        back-substitutes the new pivots into the x1*e rows, another into
-        x0*B_n when some of them are x0-columns.
+        x_k multiplies E_n from starts[k-1] on, and reuses the leading rows,
+        those with a pivot free of x0..x_{k-1} (see the class docstring).  No
+        form is multiplied again.  One product clears the new rows on the
+        pivots of x0*B_n that they hit.  One product each then clears group 2
+        on group 1, group 3 on groups 1 and 2, and the rest on all three.  The
+        rest is Gauss-Jordan reduced on the other columns (x0-free columns
+        first), and one product back-substitutes its pivots into the groups,
+        another into x0*B_n when some of them are x0-columns.  E_{n+1} is
+        written as groups 1, 2 and 3, then the rest's pivots in increasing
+        order.
         """
         p, n, added = self.p, self.n + 1, self.added
-        pivots = self.pivots[len(self.pivots) - added :]
-        # x1*E_n, then the generator multiples, over all columns; E_n's rows with
-        # an x0-free pivot (c < C(n + 1, 2)) are its leading r (class docstring).
-        r = np.count_nonzero(pivots < comb(n + 1, 2))
-        x1 = _product_columns((_X1,), n)[0]  # column of x1 * monomials(n - 1)[c]
-        x2x3 = [(0, 0, c, n - self.d - c) for c in range(n - self.d + 1)]
-        multiples = _macaulay_matrix(self.forms, x2x3, n)
-        new_rows = np.zeros((added + len(multiples), comb(n + 3, 3)), dtype=np.int64)
-        new_rows[np.arange(added), x1[pivots]] = 1
-        new_rows[:added, x1[self.free]] = self.block[len(self.block) - added :]
-        new_rows[added:] = multiples
+        last = len(self.pivots) - added
+        pivots, rows = self.pivots[last:], self.block[last:]  # E_n
+        # x_k multiplies E_n[starts[k - 1]:] and reuses its leading rows, whose
+        # pivots are among the C(n + 2 - k, 3 - k) columns free of x0..x_{k-1}.
+        leads = [
+            start + np.count_nonzero(pivots[start:] < comb(n + 2 - k, 3 - k))
+            for k, start in zip((1, 2, 3), self.starts)
+        ]
+        # New rows: groups 1, 2 and 3 (reused), then the rest from x1, x2 and x3.
+        reused = list(zip((1, 2, 3), self.starts, leads))
+        spans = reused + [(k, lead, added) for k, _, lead in reused]
+        bounds = np.cumsum([0] + [stop - start for _, start, stop in spans]).tolist()
+        new_rows = np.zeros((bounds[-1], comb(n + 3, 3)), dtype=np.int64)
+        new_pivots = []  # column of x_k times the pivot, for each new row
+        for (k, start, stop), row in zip(spans, bounds):
+            xk = _product_columns((_UNITS[k],), n)[0]  # column of x_k * monomials(n - 1)[c]
+            new_pivots.append(xk[pivots[start:stop]])
+            new_rows[row + np.arange(stop - start), new_pivots[-1]] = 1
+            new_rows[row : row + stop - start, xk[self.free]] = rows[start:stop]
         # Monomials without x0 come first in monomials(n); x0 maps monomials(n - 1)
         # onto the rest in order, so column c of twist n - 1 is x0_free + c here.
         x0_free = comb(n + 2, 2)
@@ -315,38 +352,49 @@ class _Chain:
         # take() gathers in C order; the echelon runs 1.5x slower on new_rows[:, free] (Fortran).
         pending = new_rows.take(free, axis=1)
         on_pivots = new_rows.take(x0_free + self.pivots, axis=1)
-        del multiples, new_rows  # nothing full-width stays alive through the clearing product
+        del new_rows  # nothing full-width stays alive through the clearing product
+        # Only the rows of B_n whose pivots the new rows hit enter the product, as
+        # in F4's symbolic preprocessing, and only the rows that hit one change:
+        # at s = 8, n = 24 the new rows hit 144 of the 1,904 rows of B_n.
+        hit, held = on_pivots.any(axis=0), on_pivots.any(axis=1)
         cleared = pending[:, x0_free:]
-        cleared -= _matmul_mod(on_pivots, self.block, p)
-        cleared %= p  # so the rest stays in (-p, p) after the next product
-        del on_pivots, cleared
-        # x1 times the reused rows is reduced on x1 times their pivots, still x0-free columns.
-        x1_rows, rest = pending[:r], pending[r:]
-        x1_pivots = x1[pivots[:r]]
-        rest -= _matmul_mod(rest[:, x1_pivots], x1_rows, p)  # entries now in (-p, p)
+        on_hit = on_pivots[held][:, hit]
+        cleared[held] = (cleared[held] - _matmul_mod(on_hit, self.block[hit], p)) % p
+        del on_pivots, on_hit, cleared
+        # The groups' pivots are x0-free, so they keep their columns in pending.
+        # Clear group 2 on group 1, group 3 on groups 1 and 2, the rest on all three.
+        used, edges = np.concatenate(new_pivots[:3]), [*bounds[1:4], bounds[-1]]
+        for lo, hi in zip(edges, edges[1:]):
+            part = pending[lo:hi]
+            part -= _matmul_mod(part[:, used[:lo]], pending[:lo], p)
+            part %= p  # the next part's product takes these rows as reducers
+        t = edges[2]
+        groups, rest = pending[:t], pending[t:]
         found, reduced = _reduced_echelon(rest, p)
         keep = np.ones(len(free), dtype=bool)
-        keep[x1_pivots] = False
+        keep[used] = False
         keep[found] = False
-        # B_{n+1}: x0*B_n, zero on the x0-free columns, over x1*E_n's rows and the rest's.
-        old = len(self.block)
-        block = np.zeros((old + r + len(found), np.count_nonzero(keep)), dtype=np.int64)
+        kept = np.flatnonzero(keep)
+        # B_{n+1}: x0*B_n, zero on the x0-free columns, over the groups' rows and the rest's.
+        # take() into out= gathers without a temporary, twice as fast as a boolean mask.
+        old, x0_kept = len(self.block), np.searchsorted(kept, x0_free)
+        block = np.zeros((old + t + len(found), len(kept)), dtype=np.int64)
         bottom = block[old:]
-        bottom[:r] = x1_rows[:, keep]
-        bottom[r:] = reduced[:, keep]
-        on_found = x1_rows[:, found]
-        del pending, x1_rows, rest, reduced  # none stays alive through the products below
-        bottom[:r] -= _matmul_mod(on_found, bottom[r:], p)
-        bottom[:r] %= p
+        groups.take(kept, axis=1, out=bottom[:t], mode="clip")
+        reduced.take(kept, axis=1, out=bottom[t:], mode="clip")
+        on_found = groups[:, found]
+        del pending, groups, rest, reduced  # none stays alive through the products below
+        bottom[:t] -= _matmul_mod(on_found, bottom[t:], p)
+        bottom[:t] %= p
         top = block[:old]
-        top[:, np.count_nonzero(keep[:x0_free]) :] = self.block[:, keep[x0_free:]]
+        self.block.take(kept[x0_kept:] - x0_free, axis=1, out=top[:, x0_kept:], mode="clip")
         back = found >= x0_free
         if back.any():
-            top -= _matmul_mod(self.block[:, found[back] - x0_free], bottom[r:][back], p)
+            top -= _matmul_mod(self.block[:, found[back] - x0_free], bottom[t:][back], p)
             top %= p
-        self.pivots = np.concatenate([x0_free + self.pivots, x1_pivots, free[found]])
-        self.free, self.block = free[keep], block
-        self.n, self.added = n, r + len(found)
+        self.pivots = np.concatenate([x0_free + self.pivots, used, free[found]])
+        self.free, self.block = free[kept], block
+        self.n, self.added, self.starts = n, t + len(found), (0, *edges[:2])
         self.ranks.append(len(self.pivots))
 
 
@@ -354,7 +402,7 @@ class _Chain:
 # would serve it; the oracle benchmark interleaves three seeds and both powers.
 @lru_cache(maxsize=6)
 def _chain(s: int, p: int, seed: int, power: int) -> _Chain:
-    """A chain of the minor ideal (power 1) or its square (power 2), built at twist power*s - 1.
+    """A chain of the minor ideal (power 1) or its square (power 2), built at twist power*s.
 
     Its forms are the minors, or the products f_i * f_j (i <= j) of minors,
     of degree exactly power * s.  The cache hands the same chain to every
