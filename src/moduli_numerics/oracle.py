@@ -299,6 +299,21 @@ class _Chain:
     pivots free of x0 and x1, so among the rows that x_k multiplies, E_n from
     starts[k-1] on, those with a pivot free of x0..x_{k-1} lead: a step reads
     E_n in the order the last step wrote it, with no sort.
+
+    Counting.  Call a row of class k admissible when its pivot is free of
+    x0..x_{k-1}.  Once every row of E_n is, the step has no rest, and E_n is
+    a Pommaret basis (Gerdt and Blinkov 1998; Seiler, Involution, 2010):
+    x0*B_n and the rows x_k*e (class(e) >= k) have pairwise distinct pivots,
+    since x0*B_n's are x0-columns, x_k*c is free of x0 and divisible by x_k
+    but free of x_j for j < k, and each x_k is injective on monomials.  So
+    they are independent, and by the identity above they span I_{n+1}.  Each
+    new pivot x_k*c is free of x0..x_{k-1}, so E_{n+1} is admissible too, and
+    by induction so is every later E_n.  From then on the chain drops
+    ``pivots``, ``free`` and ``block`` and keeps only the class sizes: class k
+    of E_{n+1} is x_k times E_n's classes >= k, so (c1, c2, c3) becomes
+    (c1 + c2 + c3, c2 + c3, c3), and the rank grows by the new c1 + c2 + c3.
+    A chain that never meets the condition (x0 a zero divisor modulo I, or
+    coordinates that are not generic for I) eliminates at every step.
     """
 
     def __init__(self, p: int, forms: np.ndarray, d: int) -> None:
@@ -315,25 +330,36 @@ class _Chain:
         """Step from B_n to B_{n+1}, eliminating only the rows that x0*B_n and the reused rows miss.
 
         x_k multiplies E_n from starts[k-1] on, and reuses the leading rows,
-        those with a pivot free of x0..x_{k-1} (see the class docstring).  No
-        form is multiplied again.  One product clears the new rows on the
-        pivots of x0*B_n that they hit.  One product each then clears group 2
-        on group 1, group 3 on groups 1 and 2, and the rest on all three.  The
-        rest is Gauss-Jordan reduced on the other columns (x0-free columns
-        first), and one product back-substitutes its pivots into the groups,
-        another into x0*B_n when some of them are x0-columns.  E_{n+1} is
-        written as groups 1, 2 and 3, then the rest's pivots in increasing
-        order.
+        those with a pivot free of x0..x_{k-1} (see the class docstring).
+        When it would reuse every row, the chain counts from then on and keeps
+        no basis.  Otherwise no form is multiplied again.  One product clears
+        the new rows on the pivots of x0*B_n that they hit.  One product each
+        then clears group 2 on group 1, group 3 on groups 1 and 2, and the
+        rest on all three.  The rest is Gauss-Jordan reduced on the other
+        columns (x0-free columns first), and, when it has pivots, one product
+        back-substitutes them into the groups, another into x0*B_n when some
+        of them are x0-columns.  E_{n+1} is written as groups 1, 2 and 3, then
+        the rest's pivots in increasing order.
         """
         p, n, added = self.p, self.n + 1, self.added
-        last = len(self.pivots) - added
-        pivots, rows = self.pivots[last:], self.block[last:]  # E_n
-        # x_k multiplies E_n[starts[k - 1]:] and reuses its leading rows, whose
-        # pivots are among the C(n + 2 - k, 3 - k) columns free of x0..x_{k-1}.
-        leads = [
-            start + np.count_nonzero(pivots[start:] < comb(n + 2 - k, 3 - k))
-            for k, start in zip((1, 2, 3), self.starts)
-        ]
+        if self.block is not None:
+            last = len(self.pivots) - added
+            pivots, rows = self.pivots[last:], self.block[last:]  # E_n
+            # x_k multiplies E_n[starts[k - 1]:] and reuses its leading rows, whose
+            # pivots are among the C(n + 2 - k, 3 - k) columns free of x0..x_{k-1}.
+            leads = [
+                start + np.count_nonzero(pivots[start:] < comb(n + 2 - k, 3 - k))
+                for k, start in zip((1, 2, 3), self.starts)
+            ]
+            if leads == [added] * 3:  # E_n is a Pommaret basis: count from here on
+                self.pivots = self.free = self.block = None
+        if self.block is None:
+            # Class k of E_{n+1} is x_k times E_n[starts[k - 1]:]: the sizes
+            # (c1, c2, c3) become (c1 + c2 + c3, c2 + c3, c3).
+            sizes = [added - start for start in self.starts]
+            self.n, self.added, self.starts = n, sum(sizes), (0, sizes[0], sizes[0] + sizes[1])
+            self.ranks.append(self.ranks[-1] + self.added)
+            return
         # New rows: groups 1, 2 and 3 (reused), then the rest from x1, x2 and x3.
         reused = list(zip((1, 2, 3), self.starts, leads))
         spans = reused + [(k, lead, added) for k, _, lead in reused]
@@ -384,8 +410,9 @@ class _Chain:
         reduced.take(kept, axis=1, out=bottom[t:], mode="clip")
         on_found = groups[:, found]
         del pending, groups, rest, reduced  # none stays alive through the products below
-        bottom[:t] -= _matmul_mod(on_found, bottom[t:], p)
-        bottom[:t] %= p
+        if len(found):
+            bottom[:t] -= _matmul_mod(on_found, bottom[t:], p)
+            bottom[:t] %= p
         top = block[:old]
         self.block.take(kept[x0_kept:] - x0_free, axis=1, out=top[:, x0_kept:], mode="clip")
         back = found >= x0_free
@@ -421,7 +448,10 @@ def _power_rank(s: int, n: int, p: int, seed: int, power: int) -> int:
 
     The value is 0 for every n below the forms' degree power * s.  Each
     cached chain advances one twist at a time and keeps the rank at every
-    twist it passes, so a lower twist is read back.
+    twist it passes, so a lower twist is read back.  Every chain that
+    ``verify --max-s 12`` builds eliminates only to build itself and on its
+    first step: from power*s + 2 on, each rank is counted from the class
+    sizes of E_n (see ``_Chain``).
     """
     _require_prime(p)
     check_parameter(s)

@@ -516,15 +516,42 @@ def _leads(mask: np.ndarray) -> bool:
     return not (mask[1:] > mask[:-1]).any()
 
 
-def _assert_whole_matrix_rref(chain, d, p, label):
-    """The chain's basis at its twist n is the reduced echelon form of the whole
-    Macaulay matrix of its degree-d forms, stored in the layout the next step
-    reads: x_k multiplies E_n from starts[k - 1] on, and those rows with a
-    pivot free of x0..x_{k-1}, the first C(n + 3 - k, 3 - k) columns, must
-    lead them; class 3 is in increasing pivot order."""
+def _prolong(pivots, classes, n):
+    """The pivots of B_n and the classes of E_n, from those of B_{n-1} and E_{n-1}:
+    x0 times every pivot, then x_k times each pivot of E_{n-1} of class >= k,
+    made class k.  Each class-k pivot must be free of x0..x_{k-1}, the first
+    C(n + 2 - k, 3 - k) columns at twist n - 1."""
+    last = pivots[len(pivots) - len(classes) :]
+    for k in (1, 2, 3):
+        assert (last[classes == k] < comb(n + 2 - k, 3 - k)).all(), (n, k)
+    x = [oracle._product_columns((unit,), n)[0] for unit in oracle._UNITS]
+    groups = [x[k][last[classes >= k]] for k in (1, 2, 3)]
+    return np.concatenate([x[0][pivots], *groups]), np.repeat([1, 2, 3], [len(g) for g in groups])
+
+
+def _assert_whole_matrix_basis(chain, d, p, prolonged, label):
+    """The chain at its twist n against the whole Macaulay matrix of its degree-d forms.
+
+    Its rank must be the whole matrix's.  While the chain eliminates, its
+    basis must be that matrix's reduced echelon form, stored in the layout
+    the next step reads: x_k multiplies E_n from starts[k - 1] on, and those
+    rows with a pivot free of x0..x_{k-1}, the first C(n + 3 - k, 3 - k)
+    columns, must lead them; class 3 is in increasing pivot order.  Once it
+    counts, the reduced echelon form's pivots must be the prolongation
+    (``_prolong``) of the last basis it held, and E_n's class sizes those of
+    the prolongation.  Returns the pivots and classes to prolong next.
+    """
     n = chain.n
     whole = _macaulay_matrix(chain.forms, monomials(n - d), n)
     want_pivots, want_rows = oracle._reduced_echelon(whole, p)
+    assert chain.ranks[-1] == len(want_pivots), label
+    if chain.block is None:
+        pivots, classes = _prolong(*prolonged, n)
+        assert np.array_equal(np.sort(pivots), want_pivots), label
+        sizes = np.bincount(classes, minlength=4)[1:].tolist()
+        assert chain.added == len(classes), label
+        assert chain.starts == (0, sizes[0], sizes[0] + sizes[1]), label
+        return pivots, classes
     # The block holds exactly the columns that are not pivots.
     columns = np.sort(np.concatenate([chain.pivots, chain.free]))
     assert np.array_equal(columns, np.arange(len(monomials(n)))), label
@@ -538,20 +565,26 @@ def _assert_whole_matrix_rref(chain, d, p, label):
     for k, start in zip((1, 2, 3), chain.starts):
         assert _leads(last[start:] < comb(n + 3 - k, 3 - k)), (label, k)
     assert (np.diff(last[chain.starts[2] :]) > 0).all(), label
+    first, second = chain.starts[1:]
+    return chain.pivots, np.repeat([1, 2, 3], [first, second - first, chain.added - second])
 
 
 @pytest.mark.parametrize("p", [2, 101, 32003, 2**31 - 1])
 def test_chain_basis_is_the_reduced_echelon_form_of_the_whole_matrix(p):
     # The reduced echelon form of I_n is unique, and chain steps eliminate
-    # only part of it, so the chain must hold exactly the rows that reducing
-    # the whole Macaulay matrix gives, at every twist up to 3s.
+    # only part of it, so while a chain eliminates it must hold exactly the
+    # rows that reducing the whole Macaulay matrix gives, at every twist up
+    # to 3s.  Once it counts, its ranks must still be the whole matrix's, and
+    # that matrix's pivots the prolongation of its last basis.
     for s in (1, 2, 3, 4):
         for power in (1, 2):
             chain = oracle._chain.__wrapped__(s, p, 1, power)  # uncached, at twist power * s
+            prolonged = None
             for n in range(power * s, 3 * s + 1):
                 while chain.n < n:
                     chain.advance()
-                _assert_whole_matrix_rref(chain, power * s, p, (s, power, n))
+                label = (s, power, n)
+                prolonged = _assert_whole_matrix_basis(chain, power * s, p, prolonged, label)
 
 
 # Pairs of quadric leading monomials in special coordinates, as exponents of
@@ -565,6 +598,34 @@ _SPECIAL_LEADS = [
 ]
 
 
+def _special_forms(leads, tails, rng, p):
+    """Two quadrics with the given leading monomials: the monomials themselves, or
+    with tails, each plus rng-drawn coefficients on every later column."""
+    quadrics = monomials(2)
+    forms = np.zeros((2, len(quadrics)), dtype=np.int64)
+    for row, lead in zip(forms, leads):
+        c = quadrics.index(lead)
+        row[c] = 1
+        if tails:
+            row[c + 1 :] = [rng.randrange(p) for _ in quadrics[c + 1 :]]
+    return forms
+
+
+def _torsion_control(control, p):
+    """The quadrics x0x1 and x0x2, or x0 l and q for a seeded linear form l and quadric q."""
+    rng = Random(p)
+    quadrics = monomials(2)
+    x0_x = [(2, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1)]  # x0 * x_k, k = 0..3
+    x0_times = [quadrics.index(e) for e in x0_x]
+    forms = np.zeros((2, len(quadrics)), dtype=np.int64)
+    if control == "x0x1-x0x2":
+        forms[:, x0_times] = [[0, 1, 0, 0], [0, 0, 1, 0]]
+    else:
+        forms[0, x0_times] = [rng.randrange(p) for _ in range(4)]
+        forms[1] = [rng.randrange(p) for _ in quadrics]
+    return forms
+
+
 @pytest.mark.parametrize("p", [2, 3, 101])
 def test_chain_basis_in_special_coordinates(p):
     # Determinantal chains reuse every row after their first step; these
@@ -576,21 +637,18 @@ def test_chain_basis_in_special_coordinates(p):
     # (and some x3) rows of both kinds: reused ones, with a pivot free of
     # the earlier variables, and rows sent to the echelon.
     rng = Random(p)
-    quadrics = monomials(2)
     both = set()
     for leads in _SPECIAL_LEADS:
         for tails in (False, True):
-            forms = np.zeros((2, len(quadrics)), dtype=np.int64)
-            for row, lead in zip(forms, leads):
-                c = quadrics.index(lead)
-                row[c] = 1
-                if tails:
-                    row[c + 1 :] = [rng.randrange(p) for _ in quadrics[c + 1 :]]
+            forms = _special_forms(leads, tails, rng, p)
             chain = oracle._Chain(p, forms, 2)
+            prolonged = None
             for n in range(2, 10):
                 while chain.n < n:
                     chain.advance()
-                _assert_whole_matrix_rref(chain, 2, p, (leads, tails, n))
+                prolonged = _assert_whole_matrix_basis(chain, 2, p, prolonged, (leads, tails, n))
+                if chain.block is None:
+                    continue  # a counting chain reuses every row
                 last = chain.pivots[len(chain.pivots) - chain.added :]
                 for k in (2, 3):
                     reused = last[chain.starts[k - 1] :] < comb(n + 3 - k, 3 - k)
@@ -621,17 +679,51 @@ def eliminated(monkeypatch):
 def test_step_eliminates_nothing_on_determinantal_chains(eliminated):
     # Building the chain at s = 4 reduces the s + 1 minors and nothing else.
     # From n = 11 to 12, every row that x1, x2 and x3 make from E_11 has its
-    # pivot free of the variables before its multiplier, so all are reused
-    # and the echelon gets no row; the whole Macaulay matrix has 825 rows.
+    # pivot free of the variables before its multiplier, so the chain counts
+    # and calls no echelon; the whole Macaulay matrix has 825 rows.
     assert h0_ideal_oracle(4, 4, 101, 1) == h_ideal(determinantal_curve(4), 0, 4)
     assert eliminated == [4 + 1]
     h0_ideal_oracle(4, 11, 101, 1)
     eliminated.clear()
     assert h0_ideal_oracle(4, 12, 101, 1) == h_ideal(determinantal_curve(4), 0, 12)
-    assert eliminated == [0]
-    eliminated.clear()
-    assert h0_ideal_oracle(4, 12, 101, 1) == h_ideal(determinantal_curve(4), 0, 12)
     assert eliminated == []
+
+
+def _first_count(chain, top):
+    """The twist reached by the chain's first counted step, advancing it to ``top``, or None."""
+    while chain.n < top:
+        chain.advance()
+        if chain.block is None:
+            return chain.n
+    return None
+
+
+def test_where_chains_start_counting(eliminated):
+    # A determinantal chain eliminates on its first step only: from then on
+    # E_n is a Pommaret basis, so the step into d + 2 counts, for the minors
+    # (d = s) and their squares (d = 2s) alike.
+    for s in (1, 2, 3, 4):
+        for p in (101, 32003):
+            for seed in (1, 2, 3):
+                for power in (1, 2):
+                    chain = oracle._chain.__wrapped__(s, p, seed, power)
+                    assert _first_count(chain, power * s + 3) == power * s + 2, (s, p, seed, power)
+    # Some row of E_n keeps a pivot that its class may not have at every
+    # twist: the x0-torsion controls and I = x1 (x2, x3), as monomials and
+    # with tails, never count.
+    for p in (101, 32003):
+        rng = Random(p)
+        controls = [_torsion_control(control, p) for control in ("x0x1-x0x2", "x0l-q")]
+        controls += [_special_forms(_SPECIAL_LEADS[0], tails, rng, p) for tails in (False, True)]
+        for i, forms in enumerate(controls):
+            assert _first_count(oracle._Chain(p, forms, 2), 12) is None, (p, i)
+    # At s = 8 the echelon runs to build the chain and on its first step;
+    # the counted ranks then follow the resolution formula to n = 40.
+    eliminated.clear()
+    curve = determinantal_curve(8)
+    for n in range(8, 41):
+        assert h0_ideal_oracle(8, n, 32003, 1) == h_ideal(curve, 0, n), n
+    assert len(eliminated) == 2 and eliminated[0] == 8 + 1, eliminated
 
 
 def test_oracle_round_eliminates_few_rows(monkeypatch):
@@ -694,17 +786,10 @@ def test_back_substitution_on_x0_torsion_controls(p, control, monkeypatch):
     # changes x0*B_n, and the step to n takes E_{n-1} with both kinds of
     # rows: x0-free pivots, kept out of the elimination, and x0-column
     # pivots, eliminated with the other multiples.
-    rng = Random(p)
-    quadrics = monomials(2)
-    x0_x = [(2, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1)]  # x0 * x_k, k = 0..3
-    x0_times = [quadrics.index(e) for e in x0_x]
-    forms = np.zeros((2, len(quadrics)), dtype=np.int64)
+    forms = _torsion_control(control, p)
     if control == "x0x1-x0x2":
-        forms[:, x0_times] = [[0, 1, 0, 0], [0, 0, 1, 0]]
         want = [comb(n + 2, 3) - n for n in range(2, 9)]
     else:
-        forms[0, x0_times] = [rng.randrange(p) for _ in range(4)]
-        forms[1] = [rng.randrange(p) for _ in quadrics]
         want = [2 * comb(n + 1, 3) - comb(n - 1, 3) for n in range(2, 9)]
     calls = []
 
