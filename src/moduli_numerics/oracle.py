@@ -24,8 +24,6 @@ import numpy as np
 from .arith import PreconditionError
 from .curves import check_parameter
 
-Exponent = tuple[int, int, int, int]
-
 _MAX_PRIME = 2**31  # leaves int64 room for at least two unreduced rank updates
 
 
@@ -41,7 +39,7 @@ def _require_prime(p: int) -> None:
         d += 1
 
 
-def monomials(degree: int) -> list[Exponent]:
+def monomials(degree: int) -> list[tuple[int, int, int, int]]:
     """All exponent vectors of the given total degree in 4 variables."""
     if degree < 0:
         return []
@@ -163,45 +161,30 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=64)
-def _column_of(degree: int) -> np.ndarray:
-    """Index of each exponent in monomials(degree), looked up by its first three entries."""
-    basis = np.array(monomials(degree), dtype=np.intp).reshape(-1, 4)
-    column_of = np.zeros((degree + 1,) * 3, dtype=np.intp)
-    column_of[basis[:, 0], basis[:, 1], basis[:, 2]] = np.arange(len(basis))
-    column_of.flags.writeable = False
-    return column_of
-
-
 @lru_cache(maxsize=256)
-def _product_columns(multipliers: tuple[Exponent, ...], total_degree: int) -> np.ndarray:
-    """Entry [j, k]: the degree-``total_degree`` column of multipliers[j] * monomials(d)[k]."""
-    shift = np.array(multipliers, dtype=np.intp)
-    basis = np.array(monomials(total_degree - sum(multipliers[0])), dtype=np.intp).reshape(-1, 4)
-    products = shift[:, None, :] + basis[None, :, :]
-    columns = _column_of(total_degree)[products[..., 0], products[..., 1], products[..., 2]]
+def _product_columns(m: int, n: int) -> np.ndarray:
+    """Entry [j, k]: the column of monomials(m)[j] * monomials(n - m)[k] in monomials(n)."""
+    basis = np.array(monomials(n), dtype=np.intp).reshape(-1, 4)
+    column_of = np.zeros((n + 1,) * 3, dtype=np.intp)  # looked up by the first three exponents
+    column_of[basis[:, 0], basis[:, 1], basis[:, 2]] = np.arange(len(basis))
+    shift, rest = (np.array(monomials(k), dtype=np.intp).reshape(-1, 4) for k in (m, n - m))
+    products = shift[:, None, :3] + rest[None, :, :3]
+    columns = column_of[products[..., 0], products[..., 1], products[..., 2]]
     columns.flags.writeable = False
     return columns
 
 
-def _macaulay_matrix(
-    forms: np.ndarray, multipliers: Sequence[Exponent], total_degree: int
-) -> np.ndarray:
-    """Coefficient rows of {form * multiplier} over the degree-``total_degree`` monomials.
+def _macaulay_matrix(forms: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Coefficient rows of every form times every monomial of degree m, over monomials(n).
 
-    ``forms`` holds coefficient rows over monomials(d), and every multiplier
-    has degree total_degree - d.  Row ``i * len(multipliers) + j`` is forms[i]
-    times multipliers[j]; columns follow monomials(total_degree).
+    ``forms`` holds coefficient rows over monomials(n - m).  Row
+    ``i * len(monomials(m)) + j`` is forms[i] times monomials(m)[j].
     """
-    columns = _product_columns(tuple(multipliers), total_degree)
-    m = len(multipliers)
-    rows = np.arange(len(forms) * m).reshape(len(forms), m)
-    matrix = np.zeros((len(forms) * m, comb(total_degree + 3, 3)), dtype=np.int64)
+    columns = _product_columns(m, n)
+    rows = np.arange(len(forms) * len(columns)).reshape(len(forms), len(columns))
+    matrix = np.zeros((rows.size, comb(n + 3, 3)), dtype=np.int64)
     matrix[rows[:, :, None], columns[None, :, :]] = forms[:, None, :]
     return matrix
-
-
-_UNITS: tuple[Exponent, ...] = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
 @lru_cache(maxsize=128)
@@ -212,29 +195,44 @@ def _maximal_minors(s: int, p: int, seed: int) -> np.ndarray:
     column i.  One Laplace expansion runs up the rows from the empty minor 1.
     After row s - t, ``minors`` holds the minor on each t-set of columns and
     the last t rows, in combinations() order, so every smaller minor is
-    computed once and shared by all that contain it.  A level is one product
-    mod p: the signed entries of row s - t, placed at (t-set, (t-1)-subset,
-    variable), times the (t-1)-minors multiplied by each variable.
+    computed once and shared by all that contain it.  A level is one gather:
+    the signed entries of row s - t at each t-set's columns, times the
+    multiples by each variable of the (t-1)-minors that drop those columns,
+    each product reduced mod p and 4t of them summed, below 4t p.
     """
     rng = Random(seed)
     # Entry [row, column, k] is the coefficient of x_k.
     matrix = np.array([rng.randrange(p) for _ in range(4 * s * (s + 1))], dtype=np.int64)
-    matrix = matrix.reshape(s, s + 1, 4)
+    # monomials(1) lists x3, x2, x1, x0, the order of each minor's multiples.
+    matrix = matrix.reshape(s, s + 1, 4)[..., ::-1]
     minors, index = np.ones((1, 1), dtype=np.int64), {(): 0}
     for t in range(1, s + 1):
-        signed = np.stack([matrix[s - t], -matrix[s - t] % p])
         sets = list(combinations(range(s + 1), t))
-        weights = np.zeros((len(sets), len(index), 4), dtype=np.int64)
-        for k, cols in enumerate(sets):
-            for i, j in enumerate(cols):
-                weights[k, index[cols[:i] + cols[i + 1 :]]] = signed[i % 2, j]
-        multiples = _macaulay_matrix(minors, _UNITS, t)
-        minors = _matmul_mod(weights.reshape(len(sets), -1), multiples, p)
+        entries = matrix[s - t][np.array(sets)]
+        entries[:, 1::2] = -entries[:, 1::2] % p  # the sign of each column's position
+        without = np.array([[index[cols[:i] + cols[i + 1 :]] for i in range(t)] for cols in sets])
+        multiples = _macaulay_matrix(minors, 1, t).reshape(len(minors), 4, -1)
+        terms = multiples[without]
+        terms *= entries[..., None]
+        terms %= p
+        minors = terms.sum(axis=(1, 2)) % p
+        del multiples, terms  # the largest arrays, freed before the next level gathers
         index = {cols: k for k, cols in enumerate(sets)}
     # combinations() yields the set without column s first and without column 0 last.
     minors = minors[::-1]
     minors.flags.writeable = False
     return minors
+
+
+def _forms(s: int, p: int, seed: int, power: int) -> np.ndarray:
+    """The forms of a chain, of degree power * s: the minors (power 1) or the products
+    f_i * f_j (i <= j) of minors (power 2)."""
+    minors = _maximal_minors(s, p, seed)
+    if power == 1:
+        return minors
+    # f_i * f_j for i <= j, from one Macaulay block f_i * monomials(s) at a time.
+    blocks = (_macaulay_matrix(minors[i : i + 1], s, 2 * s) for i in range(s + 1))
+    return np.vstack([_matmul_mod(minors[i:], b, p) for i, b in enumerate(blocks)])
 
 
 class _Chain:
@@ -317,7 +315,7 @@ class _Chain:
     """
 
     def __init__(self, p: int, forms: np.ndarray, d: int) -> None:
-        self.p, self.forms = p, forms  # forms: coefficient rows of F over monomials(d)
+        self.p = p
         # B_d is the reduced F, all of class 3; ranks[i] is the rank at twist d - 1 + i.
         pivots, reduced = _reduced_echelon(forms.copy(), p)
         keep = np.ones(forms.shape[1], dtype=bool)
@@ -367,7 +365,7 @@ class _Chain:
         new_rows = np.zeros((bounds[-1], comb(n + 3, 3)), dtype=np.int64)
         new_pivots = []  # column of x_k times the pivot, for each new row
         for (k, start, stop), row in zip(spans, bounds):
-            xk = _product_columns((_UNITS[k],), n)[0]  # column of x_k * monomials(n - 1)[c]
+            xk = _product_columns(1, n)[3 - k]  # column of x_k * monomials(n - 1)[c]
             new_pivots.append(xk[pivots[start:stop]])
             new_rows[row + np.arange(stop - start), new_pivots[-1]] = 1
             new_rows[row : row + stop - start, xk[self.free]] = rows[start:stop]
@@ -380,8 +378,9 @@ class _Chain:
         on_pivots = new_rows.take(x0_free + self.pivots, axis=1)
         del new_rows  # nothing full-width stays alive through the clearing product
         # Only the rows of B_n whose pivots the new rows hit enter the product, as
-        # in F4's symbolic preprocessing, and only the rows that hit one change:
-        # at s = 8, n = 24 the new rows hit 144 of the 1,904 rows of B_n.
+        # in F4's symbolic preprocessing, and only the rows that hit one change.
+        # This serves the chains that never count, such as many at p = 2: at
+        # s = 6, n = 18 (seed 1) the new rows hit 113 of the 832 rows of B_n.
         hit, held = on_pivots.any(axis=0), on_pivots.any(axis=1)
         cleared = pending[:, x0_free:]
         on_hit = on_pivots[held][:, hit]
@@ -431,16 +430,10 @@ class _Chain:
 def _chain(s: int, p: int, seed: int, power: int) -> _Chain:
     """A chain of the minor ideal (power 1) or its square (power 2), built at twist power*s.
 
-    Its forms are the minors, or the products f_i * f_j (i <= j) of minors,
-    of degree exactly power * s.  The cache hands the same chain to every
-    later call, which advances it in place.
+    The cache hands the same chain to every later call, which advances it in
+    place.
     """
-    forms = minors = _maximal_minors(s, p, seed)
-    if power == 2:
-        # f_i * f_j for i <= j, from one Macaulay block f_i * monomials(s) at a time.
-        blocks = (_macaulay_matrix(minors[i : i + 1], monomials(s), 2 * s) for i in range(s + 1))
-        forms = np.vstack([_matmul_mod(minors[i:], b, p) for i, b in enumerate(blocks)])
-    return _Chain(p, forms, power * s)
+    return _Chain(p, _forms(s, p, seed, power), power * s)
 
 
 def _power_rank(s: int, n: int, p: int, seed: int, power: int) -> int:
@@ -448,10 +441,10 @@ def _power_rank(s: int, n: int, p: int, seed: int, power: int) -> int:
 
     The value is 0 for every n below the forms' degree power * s.  Each
     cached chain advances one twist at a time and keeps the rank at every
-    twist it passes, so a lower twist is read back.  Every chain that
-    ``verify --max-s 12`` builds eliminates only to build itself and on its
-    first step: from power*s + 2 on, each rank is counted from the class
-    sizes of E_n (see ``_Chain``).
+    twist it passes, so a lower twist is read back.  At the default primes,
+    every chain that ``verify --max-s 12`` builds eliminates only to build
+    itself and on its first step: from power*s + 2 on, each rank is counted
+    from the class sizes of E_n (see ``_Chain``).
     """
     _require_prime(p)
     check_parameter(s)

@@ -1,5 +1,6 @@
 """Finite-field oracles: the rank kernel and the minor-span measurements."""
 
+import tracemalloc
 from functools import reduce
 from itertools import combinations, combinations_with_replacement, permutations
 from math import comb
@@ -315,16 +316,32 @@ def test_shared_expansion_matches_per_minor_laplace(p):
 
 
 def test_shared_expansion_multiplies_each_minor_once(monkeypatch):
-    # One product mod p per level of the expansion: s = 6 products at s = 6.
+    # One Macaulay matrix per level of the expansion, the minors times each
+    # variable: s = 6 of them at s = 6, and no product mod p.
     calls = []
 
-    def counting_matmul(a, b, p):
-        calls.append(None)
-        return _matmul_mod(a, b, p)
+    def counting_macaulay(forms, m, n):
+        calls.append((len(forms), m, n))
+        return _macaulay_matrix(forms, m, n)
 
-    monkeypatch.setattr(oracle, "_matmul_mod", counting_matmul)
+    monkeypatch.setattr(oracle, "_macaulay_matrix", counting_macaulay)
+    monkeypatch.setattr(oracle, "_matmul_mod", lambda *args: calls.append("_matmul_mod"))
     _maximal_minors.__wrapped__(6, 101, 1)
-    assert len(calls) == 6
+    assert calls == [(comb(7, t - 1), 1, t) for t in range(1, 7)]
+
+
+def test_shared_expansion_traces_no_quadratic_array():
+    # A level gathers 4t multiples per t-set of columns: at s = 11, p = 2^31 - 1
+    # the largest is 792 x 7 x 4 x 120 int64, 20.3 MiB.  The dense
+    # C(12, t) x C(12, t - 1) x 4 operators and their float64 copies traced 76.2 MiB.
+    _maximal_minors.__wrapped__(2, 2**31 - 1, 1)  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        _maximal_minors.__wrapped__(11, 2**31 - 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 60 * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize("p", [2, 3, 101, 32003, 2**31 - 1])
@@ -335,7 +352,7 @@ def test_square_forms_match_dict_products(p):
         for seed in (1, 2, 3):
             minors = _maximal_minors_reference(s, p, seed)
             products = [_poly_mul(f, g, p) for i, f in enumerate(minors) for g in minors[i:]]
-            got = oracle._chain.__wrapped__(s, p, seed, 2).forms
+            got = oracle._forms(s, p, seed, 2)
             assert np.array_equal(got, _coefficient_rows(products, 2 * s)), (s, seed)
 
 
@@ -345,12 +362,12 @@ def test_macaulay_matrix_matches_dict_loop():
             minors = _maximal_minors_reference(s, p, 1)
             products = [_poly_mul(f, g, p) for i, f in enumerate(minors) for g in minors[i:]]
             for n in range(s, 3 * s + 1):
-                built = _macaulay_matrix(_coefficient_rows(minors, s), monomials(n - s), n)
+                built = _macaulay_matrix(_coefficient_rows(minors, s), n - s, n)
                 assert built.dtype == np.int64
                 assert np.array_equal(built, _macaulay_reference(minors, n - s, n)), (s, p, n)
                 if n >= 2 * s:
                     rows = _coefficient_rows(products, 2 * s)
-                    built = _macaulay_matrix(rows, monomials(n - 2 * s), n)
+                    built = _macaulay_matrix(rows, n - 2 * s, n)
                     assert np.array_equal(built, _macaulay_reference(products, n - 2 * s, n))
 
 
@@ -524,12 +541,12 @@ def _prolong(pivots, classes, n):
     last = pivots[len(pivots) - len(classes) :]
     for k in (1, 2, 3):
         assert (last[classes == k] < comb(n + 2 - k, 3 - k)).all(), (n, k)
-    x = [oracle._product_columns((unit,), n)[0] for unit in oracle._UNITS]
+    x = oracle._product_columns(1, n)[::-1]  # monomials(1) lists x3, x2, x1, x0
     groups = [x[k][last[classes >= k]] for k in (1, 2, 3)]
     return np.concatenate([x[0][pivots], *groups]), np.repeat([1, 2, 3], [len(g) for g in groups])
 
 
-def _assert_whole_matrix_basis(chain, d, p, prolonged, label):
+def _assert_whole_matrix_basis(chain, forms, d, p, prolonged, label):
     """The chain at its twist n against the whole Macaulay matrix of its degree-d forms.
 
     Its rank must be the whole matrix's.  While the chain eliminates, its
@@ -542,7 +559,7 @@ def _assert_whole_matrix_basis(chain, d, p, prolonged, label):
     the prolongation.  Returns the pivots and classes to prolong next.
     """
     n = chain.n
-    whole = _macaulay_matrix(chain.forms, monomials(n - d), n)
+    whole = _macaulay_matrix(forms, n - d, n)
     want_pivots, want_rows = oracle._reduced_echelon(whole, p)
     assert chain.ranks[-1] == len(want_pivots), label
     if chain.block is None:
@@ -578,13 +595,14 @@ def test_chain_basis_is_the_reduced_echelon_form_of_the_whole_matrix(p):
     # that matrix's pivots the prolongation of its last basis.
     for s in (1, 2, 3, 4):
         for power in (1, 2):
-            chain = oracle._chain.__wrapped__(s, p, 1, power)  # uncached, at twist power * s
+            forms = oracle._forms(s, p, 1, power)
+            chain = oracle._Chain(p, forms, power * s)  # uncached, at twist power * s
             prolonged = None
             for n in range(power * s, 3 * s + 1):
                 while chain.n < n:
                     chain.advance()
                 label = (s, power, n)
-                prolonged = _assert_whole_matrix_basis(chain, power * s, p, prolonged, label)
+                prolonged = _assert_whole_matrix_basis(chain, forms, power * s, p, prolonged, label)
 
 
 # Pairs of quadric leading monomials in special coordinates, as exponents of
@@ -646,7 +664,8 @@ def test_chain_basis_in_special_coordinates(p):
             for n in range(2, 10):
                 while chain.n < n:
                     chain.advance()
-                prolonged = _assert_whole_matrix_basis(chain, 2, p, prolonged, (leads, tails, n))
+                label = (leads, tails, n)
+                prolonged = _assert_whole_matrix_basis(chain, forms, 2, p, prolonged, label)
                 if chain.block is None:
                     continue  # a counting chain reuses every row
                 last = chain.pivots[len(chain.pivots) - chain.added :]
@@ -818,7 +837,7 @@ def test_back_substitution_on_x0_torsion_controls(p, control, monkeypatch):
         basis = np.zeros((dim, len(monomials(n))), dtype=np.int64)
         basis[np.arange(dim), chain.pivots] = 1
         basis[:, chain.free] = chain.block
-        full = _macaulay_matrix(forms, monomials(n - 2), n)
+        full = _macaulay_matrix(forms, n - 2, n)
         assert FiniteFieldMatrix(p, np.vstack([full, basis])).rank() == dim, n
 
 
