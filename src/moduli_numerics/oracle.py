@@ -224,6 +224,19 @@ def _maximal_minors(s: int, p: int, seed: int) -> np.ndarray:
     return minors
 
 
+def expansion_bytes(s: int) -> int:
+    """The bytes of the largest Laplace level that ``_maximal_minors`` allocates at s.
+
+    Level t holds, in int64, the 4 multiples over monomials(t) of each of the
+    C(s+1, t-1) smaller minors, and their gather, t columns of them for each of
+    the C(s+1, t) t-sets.  Pure arithmetic: nothing is built.
+    """
+    return max(
+        (32 * comb(t + 3, 3) * (t * comb(s + 1, t) + comb(s + 1, t - 1)) for t in range(1, s + 1)),
+        default=0,
+    )
+
+
 def _forms(s: int, p: int, seed: int, power: int) -> np.ndarray:
     """The forms of a chain, of degree power * s: the minors (power 1) or the products
     f_i * f_j (i <= j) of minors (power 2)."""
@@ -465,8 +478,8 @@ def h0_ideal_oracle(s: int, n: int, p: int, seed: int) -> int:
 def h0_ideal_square_oracle(s: int, n: int, p: int, seed: int) -> int:
     """Degree-n dimension of the square of the minor ideal, measured as a rank.
 
-    The value is 0 for every n < 2s; values at n >= 2s are measurements,
-    recorded as found.
+    The value is 0 for every n < 2s.  ``verify`` asserts the value at n = 2s
+    against C(s+2, 2), the number of products f_i * f_j.
     """
     return _power_rank(s, n, p, seed, 2)
 

@@ -7,6 +7,7 @@ primes.
 """
 
 from fractions import Fraction
+from math import comb
 
 from moduli_numerics.arith import binom_poly
 from moduli_numerics.curves import (
@@ -146,6 +147,10 @@ def test_criterion_6_oracle_equivalence():
                 values = [h0_ideal_square_oracle(s, n, p, seed) for seed in SEEDS]
                 if majority(values) != 0:
                     failures.append(("h0_ideal_square", s, n, p, values))
+            # At 2s the C(s + 2, 2) products f_i f_j are independent (Weyman 1979).
+            values = [h0_ideal_square_oracle(s, 2 * s, p, seed) for seed in SEEDS]
+            if majority(values) != comb(s + 2, 2):
+                failures.append(("h0_ideal_square", s, 2 * s, p, values, comb(s + 2, 2)))
     _verdict(6, "oracle equivalence", failures)
 
 

@@ -196,6 +196,11 @@ def test_bare_value_error_exits_5(capsys, monkeypatch):
     "argv, message",
     [
         (["verify", "--max-s", "1", "--prime", "100"], "modulus must be prime, got 100 = 2 * 50"),
+        # No rank is measured at --max-n 0, yet the prime is still checked.
+        (
+            ["verify", "--max-s", "1", "--max-n", "0", "--prime", "4"],
+            "modulus must be prime, got 4 = 2 * 2",
+        ),
         (["curve", "--s", "0"], "determinantal parameter must be >= 1, got 0"),
         (["surface", "--delta", "3", "--c2", "10"], "hypersurface degree must be >= 4, got 3"),
         (
@@ -222,8 +227,8 @@ def test_library_input_checks_exit_3(capsys, argv, message):
 
 
 def test_verify_reads_the_square_bound_from_curve_invariants(capsys, monkeypatch):
-    # A claimed bound of 2s + 1 makes n = 2s an expected-zero row, which the
-    # square of the minor ideal contradicts.
+    # A claimed bound of 2s + 1 moves the one square row to n = 2s + 1, where
+    # the square of the minor ideal is larger than the C(s + 2, 2) products.
     real = cli.curve_invariants
 
     def shifted(curve):
@@ -232,8 +237,60 @@ def test_verify_reads_the_square_bound_from_curve_invariants(capsys, monkeypatch
     monkeypatch.setattr(cli, "curve_invariants", shifted)
     code, out, _ = run_cli(capsys, ["verify", "--max-s", "1", "--format", "json"])
     assert code == 4
-    failed = [row for row in json.loads(out)["result"]["rows"] if not row["ok"]]
-    assert {(row["check"], row["n"]) for row in failed} == {("h0_ideal_square", "2")}
+    rows = json.loads(out)["result"]["rows"]
+    squares = [(row["n"], row["ok"]) for row in rows if row["check"] == "h0_ideal_square"]
+    assert squares == [("3", False), ("3", False)]  # one per default prime
+    assert all(row["ok"] for row in rows if row["check"] != "h0_ideal_square")
+
+
+def test_every_oracle_row_of_verify_can_fail(capsys, monkeypatch):
+    # Every rank read through a chain is off by one, so every row that a chain
+    # measures must fail; a row that stays ok compared values no chain measured.
+    from moduli_numerics import oracle
+
+    class OffByOne:
+        def __init__(self, chain):
+            self.chain = chain
+
+        @property
+        def n(self):
+            return self.chain.n
+
+        @property
+        def ranks(self):
+            return [rank + 1 for rank in self.chain.ranks]
+
+        def advance(self):
+            self.chain.advance()
+
+    real = oracle._chain
+    monkeypatch.setattr(oracle, "_chain", lambda *key: OffByOne(real(*key)))
+    code, out, _ = run_cli(capsys, ["verify", "--max-s", "3", "--format", "json"])
+    assert code == 4
+    rows = [row for row in json.loads(out)["result"]["rows"] if row["check"] != "h0_line"]
+    assert {row["check"] for row in rows} == {"h0_ideal", "h0_ideal_square"}
+    assert [row for row in rows if row["ok"]] == []
+
+
+def test_verify_refuses_a_minor_expansion_over_its_budget(capsys, monkeypatch):
+    # The largest Laplace level of _maximal_minors, from its sizes alone.
+    from moduli_numerics import oracle
+
+    mib = {s: round(oracle.expansion_bytes(s) / 2**20, 1) for s in (12, 15, 16)}
+    assert mib == {12: 60.5, 15: 798.8, 16: 1909.6}
+    assert [oracle.expansion_bytes(s) for s in (-1, 0, 1)] == [0, 0, 384]
+
+    def refused(*args):
+        raise AssertionError("a minor expansion ran")
+
+    monkeypatch.setattr(oracle, "_maximal_minors", refused)
+    for max_s in ("16", LONG):
+        code, out, err = run_cli(capsys, ["verify", "--max-s", max_s, "--format", "json"])
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: verify --max-s {max_s}: one level of the s = 16 minor expansion"
+            " would take 1909.6 MiB, over 1024 MiB\n"
+        )
 
 
 def _digit_limit():
