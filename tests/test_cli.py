@@ -196,11 +196,6 @@ def test_bare_value_error_exits_5(capsys, monkeypatch):
     "argv, message",
     [
         (["verify", "--max-s", "1", "--prime", "100"], "modulus must be prime, got 100 = 2 * 50"),
-        # No rank is measured at --max-n 0, yet the prime is still checked.
-        (
-            ["verify", "--max-s", "1", "--max-n", "0", "--prime", "4"],
-            "modulus must be prime, got 4 = 2 * 2",
-        ),
         (["curve", "--s", "0"], "determinantal parameter must be >= 1, got 0"),
         (["surface", "--delta", "3", "--c2", "10"], "hypersurface degree must be >= 4, got 3"),
         (
@@ -215,6 +210,11 @@ def test_bare_value_error_exits_5(capsys, monkeypatch):
             # Refused before any row is built: 10^9 rows would exhaust memory.
             ["surface", "--delta", "4", "--n-min", "-1000000000"],
             "twist range -1000000000..6 has 1000000007 rows, more than 100000",
+        ),
+        # No rank is measured at --max-n 0, yet the prime is still checked.
+        (
+            ["verify", "--max-s", "1", "--max-n", "0", "--prime", "4"],
+            "modulus must be prime, got 4 = 2 * 2",
         ),
     ],
 )
