@@ -41,8 +41,11 @@ CALLS = [
     ["construct", "--delta", "41"],
     ["intervals", "--delta", "800"],
 ]
-# The slowest oracle calls run in one format; json carries every number.
+# Calls run in one format, where json carries every number: the slowest
+# oracle calls, and the catalog's largest curve table (s = delta - 2 = 38,
+# crossing the negative twists, e(C) = 35 and s(C) = 38).
 JSON_CALLS = [
+    ["curve", "--s", "38", "--n-min", "-12", "--n-max", "114"],
     ["verify", "--max-s", "4"],
     ["verify", "--max-s", "5"],
     ["verify", "--max-s", "2", "--prime", "2147483647"],
