@@ -78,8 +78,9 @@ def determinantal_curve(s: int) -> DeterminantalCurve:
         return chi_line(n) - chi_ideal_n
 
     # chi(O_C(n)) = degree * n + 1 - genus, so two values pin both constants.
-    degree = chi_structure(1) - chi_structure(0)
-    genus = 1 - chi_structure(0)
+    chi_0 = chi_structure(0)
+    degree = chi_structure(1) - chi_0
+    genus = 1 - chi_0
     if degree != s * (s + 1) // 2:
         raise RuntimeError(f"degree {degree} at s={s} differs from its closed form s(s+1)/2")
     return DeterminantalCurve(
@@ -136,6 +137,29 @@ def h_curve_structure(curve: DeterminantalCurve, i: int, n: int) -> int:
     return h1
 
 
+def h0_ideal_square(curve: DeterminantalCurve, n: int) -> int:
+    """h^0(P^3, J^2(n)) from Weyman's resolution of the squared ideal.
+
+    With F the generators and G the syzygies of the Hilbert-Burch resolution,
+    the complex 0 -> ^2 G -> G (x) F -> Sym^2 F -> J^2 -> 0 (Weyman, J. Algebra
+    1979) has the free sums O(-2s)^C(s+2,2), O(-2s-1)^(s(s+1)) and
+    O(-2s-2)^C(s,2).  It is exact, and h^0 therefore their alternating sum,
+    when C is a smooth, codimension-2 ACM curve: the free sums have no h^1 or
+    h^2, so taking sections keeps it exact.  Each sum has one twist, so its h^0
+    is one line bundle's times the rank.
+    """
+    [(f, r)] = curve.generators.terms
+    [(g, t)] = curve.syzygies.terms
+    value = (
+        math.comb(r + 1, 2) * h_line(0, 2 * f + n)
+        - r * t * h_line(0, f + g + n)
+        + math.comb(t, 2) * h_line(0, 2 * g + n)
+    )
+    if value < 0:
+        raise RuntimeError(f"negative h^0(J^2({n})) = {value} for s={curve.s}")
+    return value
+
+
 def curve_invariants(curve: DeterminantalCurve) -> CurveInvariants:
     """Read the least-twist invariants off the Hilbert-Burch resolution.
 
@@ -147,9 +171,11 @@ def curve_invariants(curve: DeterminantalCurve) -> CurveInvariants:
     h^3(O(-3)) vanishes.
     t_of_c = infinity: h^1(J(n)) sits between h^1 of the generators and h^2 of
     the syzygies, and both of those are zero.
-    The conormal and squared-ideal vanishing ranges are the established ones
-    for the determinantal family: twists below s and below 2s respectively.
-    Both boundaries are confirmed from the tables, so curve data that
+    jsq_bound = 2s: h^0(J^2(n)) is nondecreasing in n, vanishes at 2s - 1 and
+    at 2s counts the C(s+2, 2) products of two generators.
+    The conormal vanishing range is the established one for the determinantal
+    family: twists below s.
+    The boundaries are confirmed from the tables, so curve data that
     disagrees with its resolution raises instead of being returned.
     """
     s = curve.s
@@ -157,6 +183,9 @@ def curve_invariants(curve: DeterminantalCurve) -> CurveInvariants:
         raise RuntimeError(f"h^0(J(n)) does not start at twist {s} for s={s}")
     if h_curve_structure(curve, 1, s - 2) != 0 or h_curve_structure(curve, 1, s - 3) == 0:
         raise RuntimeError(f"h^1(O_C(n)) does not end at twist {s - 3} for s={s}")
+    products = math.comb(s + 2, 2)
+    if h0_ideal_square(curve, 2 * s - 1) != 0 or h0_ideal_square(curve, 2 * s) != products:
+        raise RuntimeError(f"h^0(J^2(n)) does not start at twist {2 * s} with C(s+2, 2) for s={s}")
     return CurveInvariants(
         s_of_c=s, e_of_c=s - 3, t_of_c=math.inf, nstar_bound=s, jsq_bound=2 * s
     )

@@ -11,6 +11,7 @@ from moduli_numerics.curves import (
     chi_ideal,
     curve_invariants,
     determinantal_curve,
+    h0_ideal_square,
     h_curve_structure,
     h_ideal,
 )
@@ -149,6 +150,62 @@ def test_tampered_degree_and_genus_raise_runtime_error(s):
     assert h_curve_structure(tampered, 1, s - 2) == 0 == h_curve_structure(tampered, 1, s - 3)
     with pytest.raises(RuntimeError, match=f"s={s}"):
         curve_invariants(tampered)
+
+
+def test_syzygies_outgrowing_generators_raise_negative_h0_ideal():
+    curve = determinantal_curve(3)
+    tampered = dataclasses.replace(curve, syzygies=FreeSheafSum.of([(-3, 5)]))
+    with pytest.raises(RuntimeError, match=r"negative h\^0\(J\(3\)\) = -1 for s=3"):
+        h_ideal(tampered, 0, 3)
+
+
+def test_generators_at_twist_zero_raise_negative_h0_structure():
+    # h^0(J(0)) = 2 exceeds h^0(O) = 1.
+    curve = determinantal_curve(3)
+    tampered = dataclasses.replace(curve, generators=FreeSheafSum.of([(0, 2)]))
+    with pytest.raises(RuntimeError, match=r"negative h\^0\(O_C\(0\)\) = -1 for s=3"):
+        h_curve_structure(tampered, 0, 0)
+
+
+def test_raised_degree_raises_negative_h1_structure():
+    # At n = 9 the true h^1(O_C(9)) is 0, so one more unit of degree drives it to -9.
+    curve = determinantal_curve(3)
+    tampered = dataclasses.replace(curve, degree=curve.degree + 1)
+    with pytest.raises(RuntimeError, match=r"negative h\^1\(O_C\(9\)\) = -9 for s=3"):
+        h_curve_structure(tampered, 1, 9)
+
+
+def test_degree_off_its_closed_form_raises(monkeypatch):
+    real = curves.chi_line
+    monkeypatch.setattr(curves, "chi_line", lambda n: real(n) + n)
+    with pytest.raises(RuntimeError, match=r"degree 7 at s=3 differs from its closed form"):
+        determinantal_curve(3)
+
+
+@pytest.mark.parametrize("s", range(1, 13))
+def test_h0_ideal_square_starts_at_twice_s(s):
+    curve = determinantal_curve(s)
+    values = [h0_ideal_square(curve, n) for n in range(-5, 3 * s + 1)]
+    assert values == sorted(values)
+    assert h0_ideal_square(curve, 2 * s - 1) == 0
+    assert h0_ideal_square(curve, 2 * s) == math.comb(s + 2, 2)
+    assert curve_invariants(curve).jsq_bound == 2 * s
+
+
+def test_syzygies_above_generators_raise_negative_h0_ideal_square():
+    # Syzygies at twist -2 > -3: 10 h^0(O) - 12 h^0(O(1)) + 3 h^0(O(2)) = -8.
+    curve = determinantal_curve(3)
+    tampered = dataclasses.replace(curve, syzygies=FreeSheafSum.of([(-2, 3)]))
+    with pytest.raises(RuntimeError, match=r"negative h\^0\(J\^2\(6\)\) = -8 for s=3"):
+        h0_ideal_square(tampered, 6)
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_square_off_its_resolution_raises(monkeypatch, shift):
+    real = curves.h0_ideal_square
+    monkeypatch.setattr(curves, "h0_ideal_square", lambda curve, n: real(curve, n + shift))
+    with pytest.raises(RuntimeError, match=r"h\^0\(J\^2\(n\)\) does not start at twist 10 .* s=5"):
+        curve_invariants(determinantal_curve(5))
 
 
 @pytest.mark.parametrize("s", range(1, 13))

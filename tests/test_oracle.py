@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from moduli_numerics import cli, oracle
 from moduli_numerics.arith import PreconditionError, binom_trunc
-from moduli_numerics.curves import determinantal_curve, h_ideal
+from moduli_numerics.curves import determinantal_curve, h0_ideal_square, h_ideal
 from moduli_numerics.oracle import (
     FiniteFieldMatrix,
     _macaulay_matrix,
@@ -856,6 +856,17 @@ def test_oracle_matches_formula_small_sweep():
         for n in range(0, 2 * s + 1):
             values = [h0_ideal_oracle(s, n, 101, seed) for seed in (1, 2, 3)]
             assert majority(values) == h_ideal(curve, 0, n), (s, n, values)
+
+
+@pytest.mark.parametrize("p", [101, 32003])
+def test_square_formula_matches_oracle_majority(p):
+    # Weyman's resolution of J^2 against the rank of the square of the minor
+    # ideal, past 2s where the products of two generators start to relate.
+    for s in range(1, 6):
+        curve = determinantal_curve(s)
+        for n in range(0, 3 * s + 1):
+            values = [h0_ideal_square_oracle(s, n, p, seed) for seed in (1, 2, 3)]
+            assert majority(values) == h0_ideal_square(curve, n), (s, n, values)
 
 
 def test_square_oracle_vanishes_below_double_degree():
