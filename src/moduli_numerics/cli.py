@@ -173,15 +173,13 @@ def _cmd_curve(args) -> tuple[dict, dict, int]:
                 "h1_structure": h_curve_structure(curve, 1, n),
             }
         )
-    [(syzygy_twist, syzygy_rank)] = curve.syzygies.terms
-    [(generator_twist, generator_rank)] = curve.generators.terms
     result = {
         "degree": curve.degree,
         "genus": curve.genus,
-        "syzygy_twist": syzygy_twist,
-        "syzygy_rank": syzygy_rank,
-        "generator_twist": generator_twist,
-        "generator_rank": generator_rank,
+        "syzygy_twist": curve.syzygies.twist,
+        "syzygy_rank": curve.syzygies.rank,
+        "generator_twist": curve.generators.twist,
+        "generator_rank": curve.generators.rank,
         "s_of_c": inv.s_of_c,
         "e_of_c": inv.e_of_c,
         "t_of_c": inv.t_of_c,

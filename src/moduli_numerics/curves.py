@@ -70,8 +70,8 @@ def determinantal_curve(s: int) -> DeterminantalCurve:
     s(s+1)/2 for the locus of maximal minors.
     """
     check_parameter(s)
-    syzygies = FreeSheafSum.of([(-s - 1, s)])
-    generators = FreeSheafSum.of([(-s, s + 1)])
+    syzygies = FreeSheafSum(-s - 1, s)
+    generators = FreeSheafSum(-s, s + 1)
 
     def chi_structure(n: int) -> int:
         chi_ideal_n = chi_free_sum(generators, n) - chi_free_sum(syzygies, n)
@@ -145,11 +145,10 @@ def h0_ideal_square(curve: DeterminantalCurve, n: int) -> int:
     1979) has the free sums O(-2s)^C(s+2,2), O(-2s-1)^(s(s+1)) and
     O(-2s-2)^C(s,2).  It is exact, and h^0 therefore their alternating sum,
     when C is a smooth, codimension-2 ACM curve: the free sums have no h^1 or
-    h^2, so taking sections keeps it exact.  Each sum has one twist, so its h^0
-    is one line bundle's times the rank.
+    h^2, so taking sections keeps it exact.
     """
-    [(f, r)] = curve.generators.terms
-    [(g, t)] = curve.syzygies.terms
+    f, r = curve.generators.twist, curve.generators.rank
+    g, t = curve.syzygies.twist, curve.syzygies.rank
     value = (
         math.comb(r + 1, 2) * h_line(0, 2 * f + n)
         - r * t * h_line(0, f + g + n)

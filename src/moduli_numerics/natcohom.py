@@ -68,44 +68,32 @@ class ProfileRow:
 class NaturalCohomologyProfile:
     """Predicted (h^0, h^1, h^2) per twist for the general bundle."""
 
-    surface: SurfaceNumerics
-    c2: int
     beta: int
     gamma: int
     rows: tuple[ProfileRow, ...]
 
 
-def _upper_row(surface: SurfaceNumerics, c2: int, n: int) -> ProfileRow:
-    # Valid only for 2n >= k, where h^2 vanishes outright and chi decides the rest.
-    chi = chi_E(surface, c2, n)
-    return ProfileRow(n=n, h0=max(chi, 0), h1=max(-chi, 0), h2=0, chi=chi)
-
-
 def hilbert_profile(
-    surface: SurfaceNumerics,
-    c2: int,
-    n_min: int,
-    n_max: int,
-    beta: int | None = None,
+    surface: SurfaceNumerics, c2: int, n_min: int, n_max: int
 ) -> NaturalCohomologyProfile:
     """Hilbert profile of the general bundle of the constructed component.
 
-    Twists with 2n >= k are read off chi(E(n)) with h^2 = 0; twists below the
-    midpoint are the Serre duals of their mirrors.  Requires c2 > gamma:
-    below that bound nothing is guaranteed, and emitting a profile would
-    present unproven cohomology as fact, so the call is refused instead.
+    Each row is read off chi = chi(E(n)).  At 2n >= k, h^2(E(n)) = h^0(E(k-n))
+    vanishes and the row is (max(chi, 0), max(-chi, 0), 0).  Below the
+    midpoint the row is the Serre dual of its mirror k - n, whose chi is
+    checked to be the same: (0, max(-chi, 0), max(chi, 0)).  Requires
+    c2 > gamma: below that bound nothing is guaranteed, and emitting a
+    profile would present unproven cohomology as fact, so the call is refused
+    instead.
 
-    ``beta`` defaults to the computed hypersurface value and must be supplied
-    for a surface constructed from raw numerics.  The twists n_min..n_max
-    follow ``twist_range``: nonempty and at most MAX_TWIST_ROWS of them.
+    beta is derived from the hypersurface degree, so a surface built from raw
+    numerics is refused.  The twists n_min..n_max follow ``twist_range``:
+    nonempty and at most MAX_TWIST_ROWS of them.
     """
     twists = twist_range(n_min, n_max)
-    if beta is None:
-        if surface.delta is None:
-            raise PreconditionError(
-                "beta must be supplied for surfaces not built as hypersurfaces"
-            )
-        beta = beta_for_hypersurface(surface.delta)
+    if surface.delta is None:
+        raise PreconditionError("the Hilbert profile needs a hypersurface, got no degree delta")
+    beta = beta_for_hypersurface(surface.delta)
     bound = gamma(surface, beta)
     if c2 <= bound:
         raise PreconditionError(
@@ -120,14 +108,14 @@ def hilbert_profile(
 
     rows = []
     for n in twists:
+        chi = chi_E(surface, c2, n)
         if 2 * n >= k:
-            rows.append(_upper_row(surface, c2, n))
+            rows.append(ProfileRow(n=n, h0=max(chi, 0), h1=max(-chi, 0), h2=0, chi=chi))
         else:
-            mirror = _upper_row(surface, c2, k - n)
-            chi = chi_E(surface, c2, n)
-            if chi != mirror.chi:
-                raise RuntimeError(f"chi(E({n})) = {chi} differs from its mirror {mirror}")
-            rows.append(ProfileRow(n=n, h0=mirror.h2, h1=mirror.h1, h2=mirror.h0, chi=chi))
-    return NaturalCohomologyProfile(
-        surface=surface, c2=c2, beta=beta, gamma=bound, rows=tuple(rows)
-    )
+            mirror = chi_E(surface, c2, k - n)
+            if chi != mirror:
+                raise RuntimeError(
+                    f"chi(E({n})) = {chi} differs from its mirror chi(E({k - n})) = {mirror}"
+                )
+            rows.append(ProfileRow(n=n, h0=0, h1=max(-chi, 0), h2=max(chi, 0), chi=chi))
+    return NaturalCohomologyProfile(beta, bound, tuple(rows))

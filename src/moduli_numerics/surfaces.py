@@ -2,9 +2,10 @@
 
 A surface enters only through three integers: the self-intersection of the
 polarization, the canonical twist k with K_X = O_X(k), and chi(O_X).  Smooth
-hypersurfaces of degree delta in P^3 are the shipped constructor; a generic
-triple is accepted so the natural-cohomology results stay usable on any
-surface with K_X a multiple of the polarization.
+hypersurfaces of degree delta in P^3 are the shipped constructor.  A raw
+triple, for any surface with K_X a multiple of the polarization, serves
+chi(O_X(n)), the expected dimension and chi(E(n)); the natural-cohomology
+profile needs a hypersurface, since its twist bound beta comes from delta.
 """
 
 from __future__ import annotations

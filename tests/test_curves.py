@@ -34,8 +34,8 @@ def test_degree_genus_closed_forms():
 
 def test_resolution_terms():
     curve = determinantal_curve(4)
-    assert curve.syzygies.terms == ((-5, 4),)
-    assert curve.generators.terms == ((-4, 5),)
+    assert curve.syzygies == FreeSheafSum(-5, 4)
+    assert curve.generators == FreeSheafSum(-4, 5)
 
 
 def test_ideal_h0_examples():
@@ -135,7 +135,7 @@ def test_tampered_genus_raises_runtime_error(shift):
 def test_tampered_resolution_raises_runtime_error(s, shift):
     # Generators one twist off move the first surface through the curve to s -/+ 1.
     curve = determinantal_curve(s)
-    tampered = dataclasses.replace(curve, generators=FreeSheafSum.of([(-s + shift, s + 1)]))
+    tampered = dataclasses.replace(curve, generators=FreeSheafSum(-s + shift, s + 1))
     with pytest.raises(RuntimeError, match=f"s={s}"):
         curve_invariants(tampered)
 
@@ -154,7 +154,7 @@ def test_tampered_degree_and_genus_raise_runtime_error(s):
 
 def test_syzygies_outgrowing_generators_raise_negative_h0_ideal():
     curve = determinantal_curve(3)
-    tampered = dataclasses.replace(curve, syzygies=FreeSheafSum.of([(-3, 5)]))
+    tampered = dataclasses.replace(curve, syzygies=FreeSheafSum(-3, 5))
     with pytest.raises(RuntimeError, match=r"negative h\^0\(J\(3\)\) = -1 for s=3"):
         h_ideal(tampered, 0, 3)
 
@@ -162,7 +162,7 @@ def test_syzygies_outgrowing_generators_raise_negative_h0_ideal():
 def test_generators_at_twist_zero_raise_negative_h0_structure():
     # h^0(J(0)) = 2 exceeds h^0(O) = 1.
     curve = determinantal_curve(3)
-    tampered = dataclasses.replace(curve, generators=FreeSheafSum.of([(0, 2)]))
+    tampered = dataclasses.replace(curve, generators=FreeSheafSum(0, 2))
     with pytest.raises(RuntimeError, match=r"negative h\^0\(O_C\(0\)\) = -1 for s=3"):
         h_curve_structure(tampered, 0, 0)
 
@@ -195,7 +195,7 @@ def test_h0_ideal_square_starts_at_twice_s(s):
 def test_syzygies_above_generators_raise_negative_h0_ideal_square():
     # Syzygies at twist -2 > -3: 10 h^0(O) - 12 h^0(O(1)) + 3 h^0(O(2)) = -8.
     curve = determinantal_curve(3)
-    tampered = dataclasses.replace(curve, syzygies=FreeSheafSum.of([(-2, 3)]))
+    tampered = dataclasses.replace(curve, syzygies=FreeSheafSum(-2, 3))
     with pytest.raises(RuntimeError, match=r"negative h\^0\(J\^2\(6\)\) = -8 for s=3"):
         h0_ideal_square(tampered, 6)
 

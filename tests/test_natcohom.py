@@ -69,6 +69,29 @@ def test_threshold_identity_failure_raises_runtime_error(monkeypatch):
         natural_cohomology_threshold(6)
 
 
+def test_threshold_off_chi_at_an_integer_raises_runtime_error(monkeypatch):
+    # The rational-point check reads chi_OX_poly, so only the even-degree one sees this.
+    real = natcohom.chi_OX
+    monkeypatch.setattr(natcohom, "chi_OX", lambda surface, n: real(surface, n) + 1)
+    with pytest.raises(RuntimeError, match=r"even delta=6 is not 2\*chi\(O_X\) at an integer"):
+        natural_cohomology_threshold(6)
+    natural_cohomology_threshold(5)
+
+
+def test_gamma_above_threshold_raises_runtime_error(monkeypatch):
+    real = natcohom.gamma
+    monkeypatch.setattr(natcohom, "gamma", lambda surface, beta: real(surface, beta) + 1)
+    with pytest.raises(RuntimeError, match="gamma exceeds the threshold at delta=6"):
+        natural_cohomology_threshold(6)
+
+
+def test_profile_positive_chi_at_midpoint_raises_runtime_error(monkeypatch):
+    real = natcohom.chi_E
+    monkeypatch.setattr(natcohom, "chi_E", lambda surface, c2, n: real(surface, c2, n) + 10**6)
+    with pytest.raises(RuntimeError, match=r"chi\(E\(0\)\) > 0 at the midpoint with c2=41"):
+        hilbert_profile(hypersurface(4), 41, -2, 4)
+
+
 def test_profile_mirror_failure_raises_runtime_error(monkeypatch):
     real = natcohom.chi_E
     monkeypatch.setattr(natcohom, "chi_E", lambda surface, c2, n: real(surface, c2, n) + n)
@@ -100,12 +123,11 @@ def test_profile_duality_for_trivial_canonical():
         assert (row.h0, row.h1, row.h2) == (mirror.h2, mirror.h1, mirror.h0)
 
 
-def test_profile_requires_beta_for_raw_surfaces():
+def test_profile_refuses_raw_surfaces():
+    # beta is derived from the hypersurface degree, which a raw triple lacks.
     surface = SurfaceNumerics(h_square=2, k=0, chi0=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError, match="needs a hypersurface"):
         hilbert_profile(surface, 1000, -2, 6)
-    profile = hilbert_profile(surface, 1000, -2, 6, beta=10)
-    assert profile.beta == 10
 
 
 def test_profile_rejects_empty_range():

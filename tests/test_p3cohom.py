@@ -1,4 +1,4 @@
-"""The four-line cohomology table on P^3 and linearity over direct sums."""
+"""The four-line cohomology table on P^3 and the free sums O(t)^r."""
 
 import pytest
 from hypothesis import given
@@ -40,38 +40,28 @@ def test_h0_nondecreasing():
 
 
 def test_free_sum_examples():
-    assert h_free_sum(0, FreeSheafSum.of([(-2, 3)]), 2) == 3
-    assert chi_free_sum(FreeSheafSum.of([(-4, 1)]), 0) == -1
+    assert h_free_sum(0, FreeSheafSum(-2, 3), 2) == 3
+    assert chi_free_sum(FreeSheafSum(-4, 1), 0) == -1
     s = 3
-    assert h_free_sum(3, FreeSheafSum.of([(-s - 1, s)]), s - 3) == 3
+    assert h_free_sum(3, FreeSheafSum(-s - 1, s), s - 3) == 3
 
 
-def test_zero_sheaf():
-    zero = FreeSheafSum.of([])
-    assert zero.terms == ()
-    assert h_free_sum(0, zero, 5) == 0
-    assert chi_free_sum(zero, 5) == 0
+@given(st.integers(-8, 8), st.integers(-4, 0))
+def test_multiplicity_validation(twist, rank):
+    with pytest.raises(ValueError, match=f"rank must be >= 1, got {rank}"):
+        FreeSheafSum(twist, rank)
 
 
-def test_multiplicity_validation():
-    with pytest.raises(ValueError):
-        FreeSheafSum.of([(-1, 0)])
-
-
-terms = st.lists(st.tuples(st.integers(-8, 8), st.integers(1, 4)), max_size=4)
-
-
-@given(terms, st.integers(-10, 10))
-def test_linearity_over_terms(term_list, n):
-    sheaf = FreeSheafSum.of(term_list)
+@given(st.integers(-8, 8), st.integers(1, 4), st.integers(-10, 10))
+def test_linearity_over_terms(twist, rank, n):
+    sheaf = FreeSheafSum(twist, rank)
     for i in range(4):
-        assert h_free_sum(i, sheaf, n) == sum(m * h_line(i, t + n) for t, m in term_list)
-    assert chi_free_sum(sheaf, n) == sum(m * chi_line(t + n) for t, m in term_list)
-    assert sheaf.terms == tuple(term_list)
+        assert h_free_sum(i, sheaf, n) == rank * h_line(i, twist + n)
+    assert chi_free_sum(sheaf, n) == rank * chi_line(twist + n)
 
 
-@given(terms, st.integers(-12, 12))
-def test_chi_equals_alternating_truncated_sum(term_list, n):
-    sheaf = FreeSheafSum.of(term_list)
+@given(st.integers(-8, 8), st.integers(1, 4), st.integers(-12, 12))
+def test_chi_equals_alternating_truncated_sum(twist, rank, n):
+    sheaf = FreeSheafSum(twist, rank)
     alternating = sum((-1) ** i * h_free_sum(i, sheaf, n) for i in range(4))
     assert alternating == chi_free_sum(sheaf, n)
