@@ -15,28 +15,16 @@ error (a library self-check failed, or any other ``ValueError`` escaped).
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import math
 import sys
 from enum import Enum
 from fractions import Fraction
-from pathlib import Path
 
 from .arith import PreconditionError, twist_range
-from .curves import curve_invariants, determinantal_curve, h_curve_structure, h_ideal
-from .moduli import (
-    ComponentInterval,
-    IntervalLabel,
-    certificate,
-    interval_for,
-    min_delta_nonempty,
-    optimal_certificate,
-)
-from .natcohom import hilbert_profile, natural_cohomology_threshold
-from .p3cohom import h_line
-from .surfaces import chi_E, chi_OX, expected_dim, hypersurface
+
+# A call is one-shot: each handler imports only its own layer, and each renderer
+# its own serializer, so no subcommand pays for the imports of another.
 
 FORMAT_VERSION = "moduli-numerics/1"
 
@@ -114,6 +102,8 @@ def render_text(report: dict) -> str:
 
 
 def render_json(report: dict) -> str:
+    import json
+
     return json.dumps(report, indent=2) + "\n"
 
 
@@ -129,6 +119,8 @@ def _flatten(value, prefix=""):
 
 
 def render_csv(report: dict) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["key", "value"])
@@ -141,6 +133,8 @@ RENDERERS = {"text": render_text, "json": render_json, "csv": render_csv}
 
 
 def _cmd_surface(args) -> tuple[dict, dict, int]:
+    from .surfaces import chi_E, chi_OX, expected_dim, hypersurface
+
     surface = hypersurface(args.delta)
     result = {"h_square": surface.h_square, "k": surface.k, "chi0": surface.chi0}
     if args.c2 is not None:
@@ -157,6 +151,8 @@ def _cmd_surface(args) -> tuple[dict, dict, int]:
 
 
 def _cmd_curve(args) -> tuple[dict, dict, int]:
+    from .curves import curve_invariants, determinantal_curve, h_curve_structure, h_ideal
+
     curve = determinantal_curve(args.s)
     inv = curve_invariants(curve)
     n_max = args.n_max if args.n_max is not None else 3 * curve.s
@@ -192,6 +188,9 @@ def _cmd_curve(args) -> tuple[dict, dict, int]:
 
 
 def _cmd_construct(args) -> tuple[dict, dict, int]:
+    from .curves import determinantal_curve
+    from .moduli import certificate, optimal_certificate
+
     if (args.s is None) != (args.sigma is None):
         raise _UsageError("--s and --sigma must be given together or both omitted")
     if args.s is None:
@@ -214,7 +213,7 @@ def _cmd_construct(args) -> tuple[dict, dict, int]:
     return inputs, result, EXIT_OK
 
 
-def _interval_row(interval: ComponentInterval) -> dict:
+def _interval_row(interval) -> dict:
     return {
         "label": interval.label,
         "lower": interval.lower,
@@ -231,11 +230,15 @@ def _interval_row(interval: ComponentInterval) -> dict:
 
 
 def _cmd_intervals(args) -> tuple[dict, dict, int]:
+    from .moduli import IntervalLabel, interval_for
+
     rows = [_interval_row(interval_for(label, args.delta)) for label in IntervalLabel]
     return {"delta": args.delta}, {"rows": rows}, EXIT_OK
 
 
 def _cmd_thresholds(args) -> tuple[dict, dict, int]:
+    from .moduli import IntervalLabel, min_delta_nonempty
+
     # Smallest delta of each parity from which the interval always holds a c2.
     rows = []
     for label, parity in [
@@ -255,6 +258,9 @@ def _cmd_thresholds(args) -> tuple[dict, dict, int]:
 
 
 def _cmd_natural(args) -> tuple[dict, dict, int]:
+    from .natcohom import hilbert_profile, natural_cohomology_threshold
+    from .surfaces import hypersurface
+
     surface = hypersurface(args.delta)
     n_min = args.n_min if args.n_min is not None else -2
     n_max = args.n_max if args.n_max is not None else surface.k + 6
@@ -276,8 +282,10 @@ def _cmd_natural(args) -> tuple[dict, dict, int]:
 
 def _cmd_verify(args) -> tuple[dict, dict, int]:
     # The oracle layer loads numpy; only this subcommand pays for that import.
+    from .curves import curve_invariants, determinantal_curve, h_ideal
     from .oracle import h0_ideal_oracle, h0_ideal_square_oracle, h0_line_oracle, majority
     from .oracle import _require_prime, expansion_bytes
+    from .p3cohom import h_line
 
     primes = args.prime or [101, 32003]
     seeds = args.seed or [1, 2, 3]
@@ -381,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p in sub.choices.values():
         p.add_argument("--format", choices=["text", "json", "csv"], default="text")
-        p.add_argument("--output", type=Path, default=None, metavar="FILE",
+        p.add_argument("--output", default=None, metavar="FILE",
                        help="also write the report to FILE")
 
     return parser
@@ -421,7 +429,8 @@ def run(argv=None) -> int:
     sys.stdout.write(rendered)
     if args.output is not None:
         try:
-            args.output.write_text(rendered, encoding="utf-8")
+            with open(args.output, "w", encoding="utf-8") as out:
+                out.write(rendered)
         except OSError as exc:
             print(f"error: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
             return EXIT_USAGE

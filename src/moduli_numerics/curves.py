@@ -17,14 +17,13 @@ never checked here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import PreconditionError
 from .p3cohom import FreeSheafSum, chi_free_sum, chi_line, h_free_sum, h_line
 
 
-@dataclass(frozen=True)
-class DeterminantalCurve:
+class DeterminantalCurve(NamedTuple):
     """The degree, genus and two-term resolution of a determinantal curve.
 
     ``syzygies`` is the kernel term O(-s-1)^s and ``generators`` the middle
@@ -38,8 +37,7 @@ class DeterminantalCurve:
     generators: FreeSheafSum
 
 
-@dataclass(frozen=True)
-class CurveInvariants:
+class CurveInvariants(NamedTuple):
     """Least-twist invariants of a space curve.
 
     s_of_c: first twist n with h^0(J(n)) != 0 (a surface through the curve).

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import PreconditionError
 from .curves import (
@@ -42,8 +42,7 @@ class IntervalLabel(str, Enum):
     ODD_C1_TWO_COMPONENT = "odd_c1_two_component"
 
 
-@dataclass(frozen=True)
-class ConstructionCertificate:
+class ConstructionCertificate(NamedTuple):
     """Per-condition verdicts for the rank-2 construction at (delta, s, sigma).
 
     cond_a: the curve still has h^1(O_C) at twist 2*sigma - 4 (2*sigma - 4 <= e(C)),
@@ -74,7 +73,7 @@ class ConstructionCertificate:
     exp_dim: int
 
     def conditions(self) -> dict[str, bool]:
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name.startswith("cond_")}
+        return {f: getattr(self, f) for f in self._fields if f.startswith("cond_")}
 
     @property
     def stable(self) -> bool:
@@ -85,8 +84,7 @@ class ConstructionCertificate:
         return all(self.conditions().values())
 
 
-@dataclass(frozen=True)
-class ComponentInterval:
+class ComponentInterval(NamedTuple):
     """A c2 interval with exact rational endpoints and open/closed flags.
 
     ``upper is None`` means unbounded above.  ``valid`` records a side
@@ -213,8 +211,7 @@ def points_ideal_square_vanishing(curve: DeterminantalCurve, delta: int, n: int)
     )
 
 
-@dataclass(frozen=True)
-class OptimalParameters:
+class OptimalParameters(NamedTuple):
     s: int
     sigma: int
     c2_min: int

@@ -11,8 +11,8 @@ for hypersurfaces, and the predicted Hilbert profiles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import PreconditionError, twist_range
 from .surfaces import SurfaceNumerics, chi_E, chi_OX, chi_OX_poly, check_degree, hypersurface
@@ -55,8 +55,7 @@ def natural_cohomology_threshold(delta: int) -> Fraction:
     return value
 
 
-@dataclass(frozen=True)
-class ProfileRow:
+class ProfileRow(NamedTuple):
     n: int
     h0: int
     h1: int
@@ -64,8 +63,7 @@ class ProfileRow:
     chi: int
 
 
-@dataclass(frozen=True)
-class NaturalCohomologyProfile:
+class NaturalCohomologyProfile(NamedTuple):
     """Predicted (h^0, h^1, h^2) per twist for the general bundle."""
 
     beta: int

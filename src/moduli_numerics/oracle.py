@@ -198,7 +198,10 @@ def _maximal_minors(s: int, p: int, seed: int) -> np.ndarray:
     computed once and shared by all that contain it.  A level is one gather:
     the signed entries of row s - t at each t-set's columns, times the
     multiples by each variable of the (t-1)-minors that drop those columns,
-    each product reduced mod p and 4t of them summed, below 4t p.
+    4t products summed and the sum reduced mod p.  A product is at most
+    (p - 1)^2, so the int64 sum is exact while 4t (p - 1)^2 fits; past that
+    (only at primes above 1.5e9, such as 2^31 - 1) each product is reduced
+    mod p before the sum.
     """
     rng = Random(seed)
     # Entry [row, column, k] is the coefficient of x_k.
@@ -214,7 +217,8 @@ def _maximal_minors(s: int, p: int, seed: int) -> np.ndarray:
         multiples = _macaulay_matrix(minors, 1, t).reshape(len(minors), 4, -1)
         terms = multiples[without]
         terms *= entries[..., None]
-        terms %= p
+        if 4 * t * (p - 1) ** 2 > 2**63 - 1:
+            terms %= p
         minors = terms.sum(axis=(1, 2)) % p
         del multiples, terms  # the largest arrays, freed before the next level gathers
         index = {cols: k for k, cols in enumerate(sets)}

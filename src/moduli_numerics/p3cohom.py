@@ -9,21 +9,29 @@ h's; the test suite cross-asserts that both routes agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import PreconditionError, binom_poly, binom_trunc
 
 
-@dataclass(frozen=True)
-class FreeSheafSum:
-    """The free sum O(twist)^rank of one line bundle, rank >= 1."""
-
+class _FreeSheafSum(NamedTuple):
     twist: int
     rank: int
 
-    def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise PreconditionError(f"rank must be >= 1, got {self.rank} for twist {self.twist}")
+
+class FreeSheafSum(_FreeSheafSum):
+    """The free sum O(twist)^rank of one line bundle, rank >= 1.
+
+    Construction checks the rank; ``_replace`` and ``_make`` build the tuple
+    directly and skip the check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, twist: int, rank: int) -> FreeSheafSum:
+        if rank < 1:
+            raise PreconditionError(f"rank must be >= 1, got {rank} for twist {twist}")
+        return super().__new__(cls, twist, rank)
 
 
 def h_line(i: int, n: int) -> int:

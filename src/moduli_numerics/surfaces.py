@@ -10,33 +10,43 @@ profile needs a hypersurface, since its twist bound beta comes from delta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import PreconditionError, binom_poly
 
 
-@dataclass(frozen=True)
-class SurfaceNumerics:
-    """(H^2, canonical twist, chi(O_X)); delta is set for hypersurfaces."""
-
+class _SurfaceNumerics(NamedTuple):
     h_square: int
     k: int
     chi0: int
     delta: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.h_square < 1:
+
+class SurfaceNumerics(_SurfaceNumerics):
+    """(H^2, canonical twist, chi(O_X)); delta is set for hypersurfaces.
+
+    Construction checks the data; ``_replace`` and ``_make`` build the tuple
+    directly and skip the checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, h_square: int, k: int, chi0: int, delta: int | None = None
+    ) -> SurfaceNumerics:
+        if h_square < 1:
             raise PreconditionError(
-                f"polarization self-intersection must be >= 1, got {self.h_square}"
+                f"polarization self-intersection must be >= 1, got {h_square}"
             )
         # Adjunction parity: H^2 * (k + 1) even, exactly what makes the
         # Riemann-Roch value chi0 + H^2 * n(n-k)/2 an integer for every n.
-        if (self.h_square * (self.k + 1)) % 2 != 0:
+        if (h_square * (k + 1)) % 2 != 0:
             raise PreconditionError(
-                f"inconsistent surface data: h_square={self.h_square}, k={self.k} "
+                f"inconsistent surface data: h_square={h_square}, k={k} "
                 "violate adjunction parity"
             )
+        return super().__new__(cls, h_square, k, chi0, delta)
 
 
 def check_degree(delta: int) -> None:

@@ -1,7 +1,7 @@
 """CLI reports: exit codes, format equivalence and round-trips."""
 
 import contextlib
-import dataclasses
+import functools
 import io
 import json
 import os
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moduli_numerics import cli, moduli
+from moduli_numerics import cli, curves, moduli
 
 NUMBER_TOKEN = re.compile(r"(?<![\w.\[/-])-?\d+(?:/\d+)?(?![\w./])")
 
@@ -38,7 +38,7 @@ def test_construct_defaults_from_optimal_parameters(capsys):
 
 
 def test_construct_evaluates_certificate_once(capsys, monkeypatch):
-    # cli binds its own name for certificate, so count calls through both bindings.
+    # The handler imports certificate when it runs, so patching the module sees every call.
     calls = []
     real = moduli.certificate
 
@@ -47,7 +47,6 @@ def test_construct_evaluates_certificate_once(capsys, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(moduli, "certificate", counting)
-    monkeypatch.setattr(cli, "certificate", counting)
     code, _, _ = run_cli(capsys, ["construct", "--delta", "9"])
     assert code == 0
     assert calls == [(9, 6, 3)]
@@ -229,12 +228,12 @@ def test_library_input_checks_exit_3(capsys, argv, message):
 def test_verify_reads_the_square_bound_from_curve_invariants(capsys, monkeypatch):
     # A claimed bound of 2s + 1 moves the one square row to n = 2s + 1, where
     # the square of the minor ideal is larger than the C(s + 2, 2) products.
-    real = cli.curve_invariants
+    real = curves.curve_invariants
 
     def shifted(curve):
-        return dataclasses.replace(real(curve), jsq_bound=2 * curve.s + 1)
+        return real(curve)._replace(jsq_bound=2 * curve.s + 1)
 
-    monkeypatch.setattr(cli, "curve_invariants", shifted)
+    monkeypatch.setattr(curves, "curve_invariants", shifted)
     code, out, _ = run_cli(capsys, ["verify", "--max-s", "1", "--format", "json"])
     assert code == 4
     rows = json.loads(out)["result"]["rows"]
@@ -336,40 +335,62 @@ def test_long_integers_keep_the_exit_code_contract(capsys, argv, expected):
             assert json.loads(out)["result"]["c2"] == str(moduli.optimal_certificate(int(LONG)).c2)
 
 
+# One subcommand in a fresh interpreter, as a one-shot call runs it.  The last
+# stderr line is its exit code, then every module the call loaded.
 _IMPORT_PROBE = """
-import contextlib, io, json, sys
+import sys
+before = set(sys.modules)
 from moduli_numerics import cli
-argvs = [
-    ["surface", "--delta", "5", "--c2", "10"],
-    ["curve", "--s", "3"],
-    ["construct", "--delta", "6"],
-    ["intervals", "--delta", "14"],
-    ["thresholds"],
-    ["natural", "--delta", "4", "--c2", "41"],
-]
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [cli.run(argv) for argv in argvs]
-    numpy_before = "numpy" in sys.modules
-    verify = cli.run(["verify", "--max-s", "1"])
-print(json.dumps([codes, numpy_before, verify, "numpy" in sys.modules]))
+code = cli.run(sys.argv[1:])
+print(code, *sorted(set(sys.modules) - before), file=sys.stderr)
 """
 
+_EXACT = {"moduli_numerics", "moduli_numerics.cli", "moduli_numerics.arith"}
+_CURVES = {"moduli_numerics.curves", "moduli_numerics.p3cohom"}
+_MODULI = {"moduli_numerics.moduli", "moduli_numerics.surfaces", *_CURVES}
 
-def test_only_verify_imports_numpy():
+# Each subcommand, with the package modules it must load and no others.
+IMPORT_SETS = {
+    "surface": (["surface", "--delta", "5", "--c2", "10"], {"moduli_numerics.surfaces"}),
+    "curve": (["curve", "--s", "3", "--format", "json"], _CURVES),
+    "construct": (["construct", "--delta", "6", "--format", "csv"], _MODULI),
+    "intervals": (["intervals", "--delta", "14"], _MODULI),
+    "thresholds": (["thresholds"], _MODULI),
+    "natural": (
+        ["natural", "--delta", "4", "--c2", "41"],
+        {"moduli_numerics.natcohom", "moduli_numerics.surfaces"},
+    ),
+    "verify": (["verify", "--max-s", "1"], {"moduli_numerics.oracle", *_CURVES}),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _loaded_by(command: str) -> frozenset[str]:
     src = Path(__file__).resolve().parents[1] / "src"
     pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE],
+        [sys.executable, "-c", _IMPORT_PROBE, *IMPORT_SETS[command][0]],
         env={**os.environ, "PYTHONPATH": pythonpath},
         capture_output=True,
         text=True,
         timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr
-    codes, numpy_before, verify, numpy_after = json.loads(proc.stdout)
-    assert codes == [0] * 6
-    assert numpy_before is False
-    assert (verify, numpy_after) == (0, True)
+    code, *modules = proc.stderr.splitlines()[-1].split()
+    assert (proc.returncode, code) == (0, "0"), proc.stderr
+    return frozenset(modules)
+
+
+@pytest.mark.parametrize("command", IMPORT_SETS)
+def test_each_subcommand_loads_only_its_layer(command):
+    loaded = _loaded_by(command)
+    package = {name for name in loaded if name.split(".")[0] == "moduli_numerics"}
+    assert package == _EXACT | IMPORT_SETS[command][1]
+    if command != "verify":
+        assert {"dataclasses", "numpy"}.isdisjoint(loaded)
+
+
+def test_only_verify_imports_numpy():
+    assert [command for command in IMPORT_SETS if "numpy" in _loaded_by(command)] == ["verify"]
 
 
 COMMANDS = [

@@ -1,7 +1,6 @@
 """Construction certificates, interval catalog and parity thresholds."""
 
 import contextlib
-import dataclasses
 import io
 from fractions import Fraction
 
@@ -122,7 +121,7 @@ def test_c2_min_is_the_least_c2_of_a_good_certificate(delta):
 def test_optimal_parameters_rejects_uncertified_choice(monkeypatch):
     real = moduli.certificate
     monkeypatch.setattr(
-        moduli, "certificate", lambda *args: dataclasses.replace(real(*args), cond_g=False)
+        moduli, "certificate", lambda *args: real(*args)._replace(cond_g=False)
     )
     with pytest.raises(RuntimeError, match="not certified at delta=6"):
         optimal_parameters(6)
@@ -133,7 +132,7 @@ def test_optimal_certificate_rejects_c2_off_closed_form(monkeypatch):
 
     def off_by_one(*args):
         cert = real(*args)
-        return dataclasses.replace(cert, c2=cert.c2 + 1)
+        return cert._replace(c2=cert.c2 + 1)
 
     monkeypatch.setattr(moduli, "certificate", off_by_one)
     with pytest.raises(RuntimeError, match="differs from its closed form"):

@@ -315,6 +315,15 @@ def test_shared_expansion_matches_per_minor_laplace(p):
             assert np.array_equal(got, want), (s, seed)
 
 
+@pytest.mark.parametrize("p", [101, 32003, 1518500213, 2**31 - 1])
+def test_expansion_reduces_products_only_where_their_sum_can_overflow(p):
+    # A level sums its 4t products unreduced while 4t (p - 1)^2 <= 2^63 - 1: at
+    # every level for 101 and 32003, at t = 1 only for 1518500213 (the largest
+    # such prime), and at no level for 2^31 - 1.
+    got = _maximal_minors.__wrapped__(6, p, 1)
+    assert np.array_equal(got, _coefficient_rows(_maximal_minors_reference(6, p, 1), 6))
+
+
 def test_shared_expansion_multiplies_each_minor_once(monkeypatch):
     # One Macaulay matrix per level of the expansion, the minors times each
     # variable: s = 6 of them at s = 6, and no product mod p.

@@ -91,10 +91,9 @@ def test_validation():
 
 
 def test_chi_OX_parity_check_raises_runtime_error():
-    # Construction refuses odd H^2 * (k + 1); a tampered surface must still not
-    # yield a silently floored chi, also under python -O.
-    surface = hypersurface(5)
-    object.__setattr__(surface, "k", 0)
+    # Construction refuses odd H^2 * (k + 1); a tampered surface (``_replace``
+    # skips that check) must still not yield a silently floored chi, also under python -O.
+    surface = hypersurface(5)._replace(k=0)
     with pytest.raises(RuntimeError, match="adjunction parity"):
         chi_OX(surface, 1)
 
