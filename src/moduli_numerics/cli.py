@@ -53,7 +53,8 @@ def encode(value):
         raise TypeError(f"refusing to encode non-exact float {value!r}")
     if value is None or isinstance(value, str):
         return value
-    if isinstance(value, (list, tuple)):
+    # A record is a NamedTuple: refused below, like any other object, not flattened to a list.
+    if isinstance(value, list) or type(value) is tuple:
         return [encode(v) for v in value]
     if isinstance(value, dict):
         return {str(k): encode(v) for k, v in value.items()}

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moduli_numerics import cli, curves, moduli
+from moduli_numerics.surfaces import hypersurface
 
 NUMBER_TOKEN = re.compile(r"(?<![\w.\[/-])-?\d+(?:/\d+)?(?![\w./])")
 
@@ -375,8 +376,9 @@ def _loaded_by(command: str) -> frozenset[str]:
         text=True,
         timeout=120,
     )
+    assert proc.returncode == 0, proc.stderr
     code, *modules = proc.stderr.splitlines()[-1].split()
-    assert (proc.returncode, code) == (0, "0"), proc.stderr
+    assert code == "0", proc.stderr
     return frozenset(modules)
 
 
@@ -401,6 +403,13 @@ COMMANDS = [
     ["thresholds"],
     ["natural", "--delta", "4", "--c2", "41"],
 ]
+
+
+def test_encode_refuses_a_record():
+    # Records are tuples; one reaching a report would otherwise print as a bare list.
+    with pytest.raises(TypeError, match="SurfaceNumerics"):
+        cli.encode({"surface": hypersurface(4)})
+    assert cli.encode((1, None)) == ["1", None]
 
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: a[0])
