@@ -284,21 +284,14 @@ def _cmd_natural(args) -> tuple[dict, dict, int]:
 def _cmd_verify(args) -> tuple[dict, dict, int]:
     # The oracle layer loads numpy; only this subcommand pays for that import.
     from .curves import curve_invariants, determinantal_curve, h_ideal
-    from .oracle import h0_ideal_oracle, h0_ideal_square_oracle, h0_line_oracle, majority
-    from .oracle import _require_prime, expansion_bytes
+    from .oracle import check_inputs, majority
+    from .oracle import h0_ideal_oracle, h0_ideal_square_oracle, h0_line_oracle
     from .p3cohom import h_line
 
     primes = args.prime or [101, 32003]
     seeds = args.seed or [1, 2, 3]
+    check_inputs(args.max_s, primes)  # before any row
     rows = []
-    # Refused before any row: a bad prime, or a minor expansion over 1 GiB.  The
-    # expansion grows with s, so the loop stops by s = 16, whatever --max-s is.
-    for p in primes:
-        _require_prime(p)
-    for s in range(1, args.max_s + 1):
-        if (need := expansion_bytes(s)) > 2**30:
-            raise PreconditionError(f"verify --max-s {args.max_s}: one level of the s = {s} minor"
-                                    f" expansion would take {need / 2**20:.1f} MiB, over 1024 MiB")
 
     def check(name, s, n, p, expected, values):
         maj = majority(values)
@@ -315,12 +308,6 @@ def _cmd_verify(args) -> tuple[dict, dict, int]:
             }
         )
 
-    def by_twist(oracle, s, first, top, p):
-        # Each seed runs up every twist before the next starts, so its chain is
-        # never evicted in between, however many seeds there are.
-        by_seed = [[oracle(s, n, p, seed) for n in range(first, top + 1)] for seed in seeds]
-        return [list(values) for values in zip(*by_seed)]
-
     for n in range(0, 16):
         check("h0_line", None, n, None, h_line(0, n), [h0_line_oracle(n)])
 
@@ -332,9 +319,14 @@ def _cmd_verify(args) -> tuple[dict, dict, int]:
         n_top = 3 * s if args.max_n is None else min(3 * s, args.max_n)
         for p in primes:
             # Below its forms' degree a rank is 0 before any matrix is built: no row there.
-            for n, values in enumerate(by_twist(h0_ideal_oracle, s, s, n_top, p), start=s):
+            # Each seed runs up every twist before the next starts, so its chain is
+            # never evicted in between, however many seeds there are.
+            twists = range(s, n_top + 1)
+            by_seed = [[h0_ideal_oracle(s, n, p, seed) for n in twists] for seed in seeds]
+            for n, *values in zip(twists, *by_seed):
                 check("h0_ideal", s, n, p, h_ideal(curve, 0, n), values)
-            for values in by_twist(h0_ideal_square_oracle, s, jsq_bound, min(jsq_bound, n_top), p):
+            if jsq_bound <= n_top:
+                values = [h0_ideal_square_oracle(s, jsq_bound, p, seed) for seed in seeds]
                 check("h0_ideal_square", s, jsq_bound, p, math.comb(s + 2, 2), values)
 
     ok = all(row["ok"] for row in rows)

@@ -102,16 +102,6 @@ class ComponentInterval(NamedTuple):
     stable_unknown: bool = False
     valid: bool = True
 
-    def contains(self, value: int | Fraction) -> bool:
-        value = Fraction(value)
-        if value < self.lower or (value == self.lower and not self.lower_closed):
-            return False
-        if self.upper is None:
-            return True
-        if value > self.upper or (value == self.upper and not self.upper_closed):
-            return False
-        return True
-
     @property
     def first_integer(self) -> int:
         if self.lower_closed:

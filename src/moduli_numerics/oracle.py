@@ -203,6 +203,7 @@ def _maximal_minors(s: int, p: int, seed: int) -> np.ndarray:
     (only at primes above 1.5e9, such as 2^31 - 1) each product is reduced
     mod p before the sum.
     """
+    check_inputs(s)
     rng = Random(seed)
     # Entry [row, column, k] is the coefficient of x_k.
     matrix = np.array([rng.randrange(p) for _ in range(4 * s * (s + 1))], dtype=np.int64)
@@ -239,6 +240,20 @@ def expansion_bytes(s: int) -> int:
         (32 * comb(t + 3, 3) * (t * comb(s + 1, t) + comb(s + 1, t - 1)) for t in range(1, s + 1)),
         default=0,
     )
+
+
+def check_inputs(max_s: int, primes: Sequence[int] = ()) -> None:
+    """Raise ``PreconditionError`` on a modulus that is not a prime in 2..2^31, or at
+    the first s <= max_s whose minor expansion would take over 1 GiB in one level.
+
+    The expansion grows with s, so the walk stops by s = 16, whatever max_s is.
+    """
+    for p in primes:
+        _require_prime(p)
+    for s in range(1, max_s + 1):
+        if (need := expansion_bytes(s)) > 2**30:
+            raise PreconditionError(f"one level of the s = {s} minor expansion would take"
+                                    f" {need / 2**20:.1f} MiB, over 1024 MiB")
 
 
 def _forms(s: int, p: int, seed: int, power: int) -> np.ndarray:

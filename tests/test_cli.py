@@ -4,6 +4,7 @@ import contextlib
 import functools
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -288,8 +289,7 @@ def test_verify_refuses_a_minor_expansion_over_its_budget(capsys, monkeypatch):
         code, out, err = run_cli(capsys, ["verify", "--max-s", max_s, "--format", "json"])
         assert (code, out) == (3, "")
         assert err == (
-            f"error: verify --max-s {max_s}: one level of the s = 16 minor expansion"
-            " would take 1909.6 MiB, over 1024 MiB\n"
+            "error: one level of the s = 16 minor expansion would take 1909.6 MiB, over 1024 MiB\n"
         )
 
 
@@ -410,6 +410,12 @@ def test_encode_refuses_a_record():
     with pytest.raises(TypeError, match="SurfaceNumerics"):
         cli.encode({"surface": hypersurface(4)})
     assert cli.encode((1, None)) == ["1", None]
+
+
+def test_encode_refuses_a_non_exact_float():
+    with pytest.raises(TypeError, match="non-exact float"):
+        cli.encode(0.5)
+    assert cli.encode(math.inf) == "inf"
 
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: a[0])

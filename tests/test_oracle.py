@@ -1,5 +1,6 @@
 """Finite-field oracles: the rank kernel and the minor-span measurements."""
 
+import re
 import tracemalloc
 from functools import reduce
 from itertools import combinations, combinations_with_replacement, permutations
@@ -20,6 +21,7 @@ from moduli_numerics.oracle import (
     _matmul_mod,
     _maximal_minors,
     _require_prime,
+    check_inputs,
     h0_ideal_oracle,
     h0_ideal_square_oracle,
     h0_line_oracle,
@@ -418,6 +420,23 @@ def test_prime_check_caches_primes_only():
     with pytest.raises(ValueError, match="prime, got 100"):
         FiniteFieldMatrix(100, np.zeros((1, 1), dtype=np.int64))
     assert _require_prime.cache_info().currsize == 2
+
+
+def test_oracle_refuses_a_minor_expansion_over_its_budget(monkeypatch):
+    # A library call meets the refusal that verify meets, before any Laplace level is built.
+    def refused(*args):
+        raise AssertionError("a Laplace level was built")
+
+    monkeypatch.setattr(oracle, "_macaulay_matrix", refused)
+    message = re.escape("the s = 16 minor expansion would take 1909.6 MiB, over 1024 MiB")
+    with pytest.raises(PreconditionError, match=message):
+        h0_ideal_oracle(16, 16, 101, 1)
+    with pytest.raises(PreconditionError, match=message):
+        h0_ideal_square_oracle(16, 32, 101, 1)
+    assert h0_ideal_oracle(16, 15, 101, 1) == 0  # below the forms' degree nothing is built
+    check_inputs(15, [101, 32003, 2**31 - 1])
+    with pytest.raises(PreconditionError, match="prime, got 100"):
+        check_inputs(15, [101, 100])
 
 
 @pytest.mark.parametrize("p", [2, 101, 32003, 67108859, 2**31 - 1])
