@@ -17,9 +17,9 @@ from __future__ import annotations
 import argparse
 import io
 import math
+import numbers
 import sys
 from enum import Enum
-from fractions import Fraction
 
 from .arith import PreconditionError, twist_range
 
@@ -45,7 +45,7 @@ def encode(value):
         return value.value
     if isinstance(value, bool):
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, numbers.Rational):  # an int, or natural's Fraction threshold
         return str(value)
     if isinstance(value, float):
         if math.isinf(value):
@@ -290,6 +290,9 @@ def _cmd_verify(args) -> tuple[dict, dict, int]:
 
     primes = args.prime or [101, 32003]
     seeds = args.seed or [1, 2, 3]
+    if len(set(seeds)) < len(seeds):
+        # A repeated seed would outvote the others with one (p, seed) pair.
+        raise _UsageError(f"--seed values must be distinct, got {seeds}")
     check_inputs(args.max_s, primes)  # before any row
     rows = []
 

@@ -7,18 +7,17 @@ and sit on a good (reduced, expected-dimension) component.  All seven
 conditions reduce to integer comparisons against the curve's least-twist
 invariants and vanishing bounds.
 
-The interval catalog records, with exact rational endpoints, the c2 ranges
-where the moduli space is known to carry a good component (good_tail), a
-larger-than-expected component through points in general position (ogrady),
-or both at once (two_component and its semistable and odd-c1 variants).
+The interval catalog records the c2 ranges where the moduli space is known
+to carry a good component (good_tail), a larger-than-expected component
+through points in general position (ogrady), or both at once (two_component
+and its semistable and odd-c1 variants).  Every endpoint is an integer-valued
+polynomial in delta, computed as an exact int.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from enum import Enum
-from fractions import Fraction
 from typing import NamedTuple
 
 from .arith import PreconditionError
@@ -30,8 +29,6 @@ from .curves import (
     h_ideal,
 )
 from .surfaces import check_degree, expected_dim, hypersurface
-
-ENUMERATION_CAP = 10**6
 
 
 class IntervalLabel(str, Enum):
@@ -85,7 +82,7 @@ class ConstructionCertificate(NamedTuple):
 
 
 class ComponentInterval(NamedTuple):
-    """A c2 interval with exact rational endpoints and open/closed flags.
+    """A c2 interval with integer endpoints and open/closed flags.
 
     ``upper is None`` means unbounded above.  ``valid`` records a side
     constraint on delta (the general-position construction needs delta >= 14);
@@ -95,8 +92,8 @@ class ComponentInterval(NamedTuple):
     """
 
     label: IntervalLabel
-    lower: Fraction
-    upper: Fraction | None
+    lower: int
+    upper: int | None
     lower_closed: bool
     upper_closed: bool
     stable_unknown: bool = False
@@ -104,17 +101,13 @@ class ComponentInterval(NamedTuple):
 
     @property
     def first_integer(self) -> int:
-        if self.lower_closed:
-            return math.ceil(self.lower)
-        return math.floor(self.lower) + 1
+        return self.lower if self.lower_closed else self.lower + 1
 
     @property
     def last_integer(self) -> int | None:
         if self.upper is None:
             return None
-        if self.upper_closed:
-            return math.floor(self.upper)
-        return math.ceil(self.upper) - 1
+        return self.upper if self.upper_closed else self.upper - 1
 
     @property
     def is_empty(self) -> bool:
@@ -129,20 +122,6 @@ class ComponentInterval(NamedTuple):
         if last is None:
             return None
         return max(0, last - self.first_integer + 1)
-
-    def integer_points(self) -> list[int]:
-        """Materialize the integer points, refusing pathological enumerations."""
-        count = self.integer_count
-        if count is None:
-            raise PreconditionError(f"{self.label.value} interval is unbounded above")
-        if count > ENUMERATION_CAP:
-            raise PreconditionError(
-                f"interval holds {count} integers, above the cap {ENUMERATION_CAP}"
-            )
-        if count == 0:
-            return []
-        first = self.first_integer
-        return list(range(first, first + count))
 
 
 def certificate(delta: int, s: int, sigma: int) -> ConstructionCertificate:
@@ -207,14 +186,25 @@ class OptimalParameters(NamedTuple):
     c2_min: int
 
 
-def _c2_min(delta: int) -> Fraction:
+def _exact(numerator: int, denominator: int) -> int:
+    """numerator / denominator for a closed form that is integer-valued in delta.
+
+    A remainder means the closed form is wrong, so it raises RuntimeError.
+    """
+    quotient, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise RuntimeError(f"closed form {numerator}/{denominator} is not an integer")
+    return quotient
+
+
+def _c2_min(delta: int) -> int:
     """Certified minimum c2 in closed form.
 
     delta^2 (delta - 2) / 4 for even delta, delta (delta - 1)(delta - 3) / 4 for odd.
     """
     if delta % 2 == 0:
-        return Fraction(delta * delta * (delta - 2), 4)
-    return Fraction(delta * (delta - 1) * (delta - 3), 4)
+        return _exact(delta * delta * (delta - 2), 4)
+    return _exact(delta * (delta - 1) * (delta - 3), 4)
 
 
 def optimal_certificate(delta: int) -> ConstructionCertificate:
@@ -239,8 +229,8 @@ def optimal_parameters(delta: int) -> OptimalParameters:
     return OptimalParameters(s=cert.s, sigma=cert.sigma, c2_min=cert.c2)
 
 
-def _twisted_general_position_upper(delta: int) -> Fraction:
-    return Fraction(delta**3 - 9 * delta**2 + 26 * delta - 3, 3)
+def _twisted_general_position_upper(delta: int) -> int:
+    return _exact(delta**3 - 9 * delta**2 + 26 * delta - 3, 3)
 
 
 # label: (lower(delta), upper(delta) or None when unbounded above,
@@ -257,7 +247,7 @@ _CATALOG = {
     # Points in general position give an oversized component; the construction
     # needs delta >= 14.
     IntervalLabel.OGRADY: (
-        lambda delta: Fraction(delta**3 - 7 * delta, 6),
+        lambda delta: _exact(delta**3 - 7 * delta, 6),
         _twisted_general_position_upper,
         False, False, False, 14,
     ),
@@ -272,14 +262,14 @@ _CATALOG = {
     # ones is open.
     IntervalLabel.SEMISTABLE_TWO_COMPONENT: (
         _c2_min,
-        lambda delta: Fraction(delta**3 - 6 * delta**2 + 11 * delta - 3, 3),
+        lambda delta: _exact(delta**3 - 6 * delta**2 + 11 * delta - 3, 3),
         True, False, True, 4,
     ),
     # Odd first Chern class (c1 = 1): only the interval arithmetic is modeled,
     # the certificate machinery is not extended to c1 = 1.
     IntervalLabel.ODD_C1_TWO_COMPONENT: (
-        lambda delta: Fraction(delta * (delta - 2 if delta % 2 == 0 else delta - 1) ** 2, 4),
-        lambda delta: Fraction(2 * delta**3 - 15 * delta**2 + 37 * delta - 6, 6),
+        lambda delta: _exact(delta * (delta - 2 if delta % 2 == 0 else delta - 1) ** 2, 4),
+        lambda delta: _exact(2 * delta**3 - 15 * delta**2 + 37 * delta - 6, 6),
         True, False, False, 4,
     ),
 }
@@ -350,7 +340,7 @@ def min_delta_nonempty(label: IntervalLabel | str, parity: str = "any") -> int:
     firsts = {"even": (4,), "odd": (5,), "any": (4, 5)}[parity]
     empty = []
     for first in firsts:
-        widths: list[Fraction] = []
+        widths: list[int] = []
         for delta in itertools.count(first, 2):
             interval = interval_for(label, delta)
             if interval.upper is None:  # a catalog entry is unbounded at every degree or at none

@@ -243,13 +243,15 @@ def expansion_bytes(s: int) -> int:
 
 
 def check_inputs(max_s: int, primes: Sequence[int] = ()) -> None:
-    """Raise ``PreconditionError`` on a modulus that is not a prime in 2..2^31, or at
-    the first s <= max_s whose minor expansion would take over 1 GiB in one level.
+    """Raise ``PreconditionError`` on a modulus that is not a prime in 2..2^31, on
+    max_s < 1, or at the first s <= max_s whose minor expansion would take over
+    1 GiB in one level.
 
     The expansion grows with s, so the walk stops by s = 16, whatever max_s is.
     """
     for p in primes:
         _require_prime(p)
+    check_parameter(max_s)
     for s in range(1, max_s + 1):
         if (need := expansion_bytes(s)) > 2**30:
             raise PreconditionError(f"one level of the s = {s} minor expansion would take"

@@ -10,10 +10,12 @@ profile needs a hypersurface, since its twist bound beta comes from delta.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import PreconditionError, binom_poly
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class _SurfaceNumerics(NamedTuple):
@@ -80,6 +82,8 @@ def chi_OX(surface: SurfaceNumerics, n: int) -> int:
 
 def chi_OX_poly(surface: SurfaceNumerics, t: Fraction | int) -> Fraction:
     """The Riemann-Roch polynomial of chi_OX evaluated at a rational point."""
+    from fractions import Fraction  # only natcohom's threshold needs a rational point
+
     t = Fraction(t)
     return surface.chi0 + Fraction(surface.h_square, 2) * t * (t - surface.k)
 

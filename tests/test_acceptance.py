@@ -6,7 +6,6 @@ equality; the oracle criterion uses the three-seed majority rule over two
 primes.
 """
 
-from fractions import Fraction
 from math import comb
 
 from moduli_numerics.arith import binom_poly
@@ -79,8 +78,10 @@ def test_criterion_2_parity_thresholds():
         got = min_delta_nonempty(label, parity)
         if got != want:
             failures.append((label, parity, got, want))
-    if ogrady_interval(14).integer_points() != [442, 443, 444, 445, 446]:
-        failures.append(("ogrady 14 points", ogrady_interval(14).integer_points()))
+    ogrady = ogrady_interval(14)
+    points = list(range(ogrady.first_integer, ogrady.last_integer + 1))
+    if points != [442, 443, 444, 445, 446]:
+        failures.append(("ogrady 14 points", points))
     if not two_component_interval(26).is_empty:
         failures.append(("two_component 26 should be empty",))
     _verdict(2, "parity thresholds", failures)

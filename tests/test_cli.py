@@ -217,6 +217,9 @@ def test_bare_value_error_exits_5(capsys, monkeypatch):
             ["verify", "--max-s", "1", "--max-n", "0", "--prime", "4"],
             "modulus must be prime, got 4 = 2 * 2",
         ),
+        # No curve would be checked, so no "ok: true" either; curve --s 0 agrees.
+        (["verify", "--max-s", "0"], "determinantal parameter must be >= 1, got 0"),
+        (["verify", "--max-s", "-3"], "determinantal parameter must be >= 1, got -3"),
     ],
 )
 def test_library_input_checks_exit_3(capsys, argv, message):
@@ -225,6 +228,16 @@ def test_library_input_checks_exit_3(capsys, argv, message):
     assert code == 3
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_verify_refuses_a_repeated_seed(capsys, monkeypatch):
+    # With seeds [1, 1, 2] one (p, seed) pair would decide every majority.
+    monkeypatch.setattr("moduli_numerics.oracle.h0_ideal_oracle", None)  # no rank is measured
+    argv = ["verify", "--max-s", "1", "--prime", "2", "--seed", "1", "--seed", "1", "--seed", "2"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == "usage error: --seed values must be distinct, got [1, 1, 2]\n"
 
 
 def test_verify_reads_the_square_bound_from_curve_invariants(capsys, monkeypatch):
@@ -389,6 +402,9 @@ def test_each_subcommand_loads_only_its_layer(command):
     assert package == _EXACT | IMPORT_SETS[command][1]
     if command != "verify":
         assert {"dataclasses", "numpy"}.isdisjoint(loaded)
+    # Only natural's threshold is a true rational; every other number is an int.
+    if command != "natural":
+        assert {"fractions", "decimal"}.isdisjoint(loaded)
 
 
 def test_only_verify_imports_numpy():

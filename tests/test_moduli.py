@@ -2,7 +2,6 @@
 
 import contextlib
 import io
-from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -141,16 +140,16 @@ def test_optimal_certificate_rejects_c2_off_closed_form(monkeypatch):
 
 def test_ogrady_interval_at_14():
     interval = ogrady_interval(14)
-    assert (interval.lower, interval.upper) == (Fraction(441), Fraction(447))
+    assert (interval.lower, interval.upper) == (441, 447)
     assert not interval.lower_closed and not interval.upper_closed
-    assert interval.integer_points() == [442, 443, 444, 445, 446]
+    assert (interval.first_integer, interval.last_integer, interval.integer_count) == (442, 446, 5)
     assert interval.valid
     assert not ogrady_interval(13).valid
 
 
 def test_two_component_examples():
     nonempty = two_component_interval(28)
-    assert (nonempty.lower, nonempty.upper) == (Fraction(5096), Fraction(5207))
+    assert (nonempty.lower, nonempty.upper) == (5096, 5207)
     assert nonempty.lower_closed and not nonempty.upper_closed
     assert not nonempty.is_empty
     # sharpness just below the even threshold
@@ -164,7 +163,7 @@ def test_two_component_shares_upper_endpoint_with_ogrady():
 
 def test_lower_endpoints_match_c2_min():
     for delta in range(4, 41):
-        c2_min = Fraction(optimal_parameters(delta).c2_min)
+        c2_min = optimal_parameters(delta).c2_min
         assert two_component_interval(delta).lower == c2_min
         assert semistable_interval(delta).lower == c2_min
         assert good_tail_interval(delta).lower == c2_min
@@ -197,15 +196,29 @@ def test_good_tail_unbounded():
     assert not tail.is_empty
     assert tail.integer_count is None
     assert tail.first_integer == 10
-    with pytest.raises(ValueError):
-        tail.integer_points()
+    assert tail.last_integer is None
 
 
-def test_integer_points_cap():
-    interval = ogrady_interval(200)
-    assert interval.integer_count == 1_215_298 > moduli.ENUMERATION_CAP
-    with pytest.raises(ValueError):
-        interval.integer_points()
+# Each endpoint is P(delta) / m with P an integer polynomial, chosen by the parity
+# of delta, and m in {3, 4, 6}.  P(delta + 12) = P(delta) mod 12, hence mod m, and
+# delta + 12 has the parity of delta, so one period delta = 4..15 covers every delta.
+@pytest.mark.parametrize("delta", range(4, 16))
+def test_endpoints_are_integers_for_every_delta(delta):
+    assert type(moduli._c2_min(delta)) is int
+    for label in IntervalLabel:
+        interval = interval_for(label, delta)  # _exact raises on a remainder
+        assert type(interval.lower) is int
+        assert interval.upper is None or type(interval.upper) is int
+
+
+def test_a_non_integral_closed_form_raises(monkeypatch):
+    with pytest.raises(RuntimeError, match="7/4 is not an integer"):
+        moduli._exact(7, 4)
+    ogrady = moduli._CATALOG[IntervalLabel.OGRADY]
+    broken = (lambda delta: moduli._exact(delta**3 - 7 * delta + 1, 6), *ogrady[1:])
+    monkeypatch.setitem(moduli._CATALOG, IntervalLabel.OGRADY, broken)
+    with pytest.raises(RuntimeError, match="is not an integer"):
+        ogrady_interval(14)
 
 
 def test_odd_c1_low_degree_accident():
@@ -294,17 +307,9 @@ def test_interval_for_accepts_strings():
     assert interval_for("ogrady", 14) == ogrady_interval(14)
 
 
-@given(
-    st.integers(-40, 40),
-    st.integers(1, 8),
-    st.integers(0, 30),
-    st.integers(1, 8),
-    st.booleans(),
-    st.booleans(),
-)
-def test_integer_points_against_brute_force(num, den, span_num, span_den, lo_closed, up_closed):
-    lower = Fraction(num, den)
-    upper = lower + Fraction(span_num, span_den)
+@given(st.integers(-40, 40), st.integers(0, 30), st.booleans(), st.booleans())
+def test_integer_points_against_brute_force(lower, span, lo_closed, up_closed):
+    upper = lower + span
     interval = ComponentInterval(
         label=IntervalLabel.TWO_COMPONENT,
         lower=lower,
@@ -315,6 +320,7 @@ def test_integer_points_against_brute_force(num, den, span_num, span_den, lo_clo
     # Membership straight from the endpoints and their open/closed flags.
     above = [m for m in range(-60, 81) if m > lower or (m == lower and lo_closed)]
     expected = [m for m in above if m < upper or (m == upper and up_closed)]
-    assert interval.integer_points() == expected
+    if expected:
+        assert (interval.first_integer, interval.last_integer) == (expected[0], expected[-1])
     assert interval.is_empty == (not expected)
     assert interval.integer_count == len(expected)

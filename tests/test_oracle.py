@@ -437,6 +437,10 @@ def test_oracle_refuses_a_minor_expansion_over_its_budget(monkeypatch):
     check_inputs(15, [101, 32003, 2**31 - 1])
     with pytest.raises(PreconditionError, match="prime, got 100"):
         check_inputs(15, [101, 100])
+    with pytest.raises(PreconditionError, match="parameter must be >= 1, got 0"):
+        check_inputs(0, [101])
+    with pytest.raises(PreconditionError, match="prime, got 100"):  # primes first
+        check_inputs(0, [100])
 
 
 @pytest.mark.parametrize("p", [2, 101, 32003, 67108859, 2**31 - 1])
