@@ -53,8 +53,7 @@ def encode(value):
         raise TypeError(f"refusing to encode non-exact float {value!r}")
     if value is None or isinstance(value, str):
         return value
-    # A record is a NamedTuple: refused below, like any other object, not flattened to a list.
-    if isinstance(value, list) or type(value) is tuple:
+    if isinstance(value, list):
         return [encode(v) for v in value]
     if isinstance(value, dict):
         return {str(k): encode(v) for k, v in value.items()}
@@ -177,11 +176,7 @@ def _cmd_curve(args) -> tuple[dict, dict, int]:
         "syzygy_rank": curve.syzygies.rank,
         "generator_twist": curve.generators.twist,
         "generator_rank": curve.generators.rank,
-        "s_of_c": inv.s_of_c,
-        "e_of_c": inv.e_of_c,
-        "t_of_c": inv.t_of_c,
-        "nstar_bound": inv.nstar_bound,
-        "jsq_bound": inv.jsq_bound,
+        **inv._asdict(),
         "rows": rows,
     }
     inputs = {"s": args.s, "n_min": args.n_min, "n_max": n_max}
@@ -266,16 +261,12 @@ def _cmd_natural(args) -> tuple[dict, dict, int]:
     n_min = args.n_min if args.n_min is not None else -2
     n_max = args.n_max if args.n_max is not None else surface.k + 6
     profile = hilbert_profile(surface, args.c2, n_min, n_max)
-    rows = [
-        {"n": row.n, "h0": row.h0, "h1": row.h1, "h2": row.h2, "chi": row.chi}
-        for row in profile.rows
-    ]
     result = {
         "k": surface.k,
         "beta": profile.beta,
         "gamma": profile.gamma,
         "threshold": natural_cohomology_threshold(args.delta),
-        "rows": rows,
+        "rows": [row._asdict() for row in profile.rows],
     }
     inputs = {"delta": args.delta, "c2": args.c2, "n_min": n_min, "n_max": n_max}
     return inputs, result, EXIT_OK
@@ -290,9 +281,11 @@ def _cmd_verify(args) -> tuple[dict, dict, int]:
 
     primes = args.prime or [101, 32003]
     seeds = args.seed or [1, 2, 3]
-    if len(set(seeds)) < len(seeds):
-        # A repeated seed would outvote the others with one (p, seed) pair.
-        raise _UsageError(f"--seed values must be distinct, got {seeds}")
+    # A repeated seed would outvote the others with one (p, seed) pair, and a
+    # repeated prime would print every row twice.
+    for flag, values in (("--prime", primes), ("--seed", seeds)):
+        if len(set(values)) < len(values):
+            raise _UsageError(f"{flag} values must be distinct, got {values}")
     check_inputs(args.max_s, primes)  # before any row
     rows = []
 

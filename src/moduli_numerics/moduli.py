@@ -112,8 +112,7 @@ class ComponentInterval(NamedTuple):
     @property
     def is_empty(self) -> bool:
         """True when the interval contains no integer at all."""
-        last = self.last_integer
-        return last is not None and self.first_integer > last
+        return self.integer_count == 0
 
     @property
     def integer_count(self) -> int | None:

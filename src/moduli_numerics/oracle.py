@@ -254,8 +254,8 @@ def check_inputs(max_s: int, primes: Sequence[int] = ()) -> None:
     check_parameter(max_s)
     for s in range(1, max_s + 1):
         if (need := expansion_bytes(s)) > 2**30:
-            raise PreconditionError(f"one level of the s = {s} minor expansion would take"
-                                    f" {need / 2**20:.1f} MiB, over 1024 MiB")
+            raise PreconditionError(f"the oracle supports s <= {s - 1}: one level of the s = {s}"
+                                    f" minor expansion would take {need / 2**20:.1f} MiB, over 1024 MiB")
 
 
 def _forms(s: int, p: int, seed: int, power: int) -> np.ndarray:

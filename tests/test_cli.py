@@ -230,14 +230,23 @@ def test_library_input_checks_exit_3(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
-def test_verify_refuses_a_repeated_seed(capsys, monkeypatch):
-    # With seeds [1, 1, 2] one (p, seed) pair would decide every majority.
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        # With seeds [1, 1, 2] one (p, seed) pair would decide every majority.
+        (["--prime", "2", "--seed", "1", "--seed", "1", "--seed", "2"],
+         "--seed values must be distinct, got [1, 1, 2]"),
+        # With primes [101, 101] every row would be printed twice.
+        (["--prime", "101", "--prime", "101"], "--prime values must be distinct, got [101, 101]"),
+    ],
+    ids=["seed", "prime"],
+)
+def test_verify_refuses_a_repeated_seed(capsys, monkeypatch, options, message):
     monkeypatch.setattr("moduli_numerics.oracle.h0_ideal_oracle", None)  # no rank is measured
-    argv = ["verify", "--max-s", "1", "--prime", "2", "--seed", "1", "--seed", "1", "--seed", "2"]
-    code, out, err = run_cli(capsys, argv)
+    code, out, err = run_cli(capsys, ["verify", "--max-s", "1", *options])
     assert code == 2
     assert out == ""
-    assert err == "usage error: --seed values must be distinct, got [1, 1, 2]\n"
+    assert err == f"usage error: {message}\n"
 
 
 def test_verify_reads_the_square_bound_from_curve_invariants(capsys, monkeypatch):
@@ -302,7 +311,8 @@ def test_verify_refuses_a_minor_expansion_over_its_budget(capsys, monkeypatch):
         code, out, err = run_cli(capsys, ["verify", "--max-s", max_s, "--format", "json"])
         assert (code, out) == (3, "")
         assert err == (
-            "error: one level of the s = 16 minor expansion would take 1909.6 MiB, over 1024 MiB\n"
+            "error: the oracle supports s <= 15: one level of the s = 16 minor expansion"
+            " would take 1909.6 MiB, over 1024 MiB\n"
         )
 
 
@@ -425,7 +435,8 @@ def test_encode_refuses_a_record():
     # Records are tuples; one reaching a report would otherwise print as a bare list.
     with pytest.raises(TypeError, match="SurfaceNumerics"):
         cli.encode({"surface": hypersurface(4)})
-    assert cli.encode((1, None)) == ["1", None]
+    with pytest.raises(TypeError, match="tuple"):  # reports carry lists only
+        cli.encode((1, None))
 
 
 def test_encode_refuses_a_non_exact_float():

@@ -43,7 +43,9 @@ CALLS = [
 ]
 # Calls run in one format, where json carries every number: the slowest
 # oracle calls, and the catalog's largest curve table (s = delta - 2 = 38,
-# crossing the negative twists, e(C) = 35 and s(C) = 38).
+# crossing the negative twists, e(C) = 35 and s(C) = 38).  At p = 2 most
+# power-1 chains never start counting and eliminate at every step; the last
+# two calls are verify's repeated-prime refusal and its expansion budget.
 JSON_CALLS = [
     ["curve", "--s", "38", "--n-min", "-12", "--n-max", "114"],
     ["verify", "--max-s", "4"],
@@ -51,6 +53,9 @@ JSON_CALLS = [
     ["verify", "--max-s", "2", "--prime", "2147483647"],
     ["verify", "--max-s", "3", "--prime", "67108859"],
     ["verify", "--max-s", "4", "--prime", "2147483647"],
+    ["verify", "--max-s", "6", "--prime", "2"],
+    ["verify", "--max-s", "1", "--prime", "101", "--prime", "101"],
+    ["verify", "--max-s", "16"],
 ]
 CASES = {
     "_".join(a.lstrip("-") for a in argv): argv

@@ -428,9 +428,14 @@ def test_oracle_refuses_a_minor_expansion_over_its_budget(monkeypatch):
         raise AssertionError("a Laplace level was built")
 
     monkeypatch.setattr(oracle, "_macaulay_matrix", refused)
-    message = re.escape("the s = 16 minor expansion would take 1909.6 MiB, over 1024 MiB")
+    message = re.escape(
+        "the oracle supports s <= 15: one level of the s = 16 minor expansion"
+        " would take 1909.6 MiB, over 1024 MiB"
+    )
     with pytest.raises(PreconditionError, match=message):
         h0_ideal_oracle(16, 16, 101, 1)
+    with pytest.raises(PreconditionError, match=message):  # states the range, not the caller's s
+        h0_ideal_oracle(17, 17, 101, 1)
     with pytest.raises(PreconditionError, match=message):
         h0_ideal_square_oracle(16, 32, 101, 1)
     assert h0_ideal_oracle(16, 15, 101, 1) == 0  # below the forms' degree nothing is built
