@@ -287,6 +287,11 @@ def _cmd_verify(args) -> tuple[dict, dict, int]:
         if len(set(values)) < len(values):
             raise _UsageError(f"{flag} values must be distinct, got {values}")
     check_inputs(args.max_s, primes)  # before any row
+    if args.max_n is not None and args.max_n < args.max_s:
+        raise _UsageError(
+            f"--max-n {args.max_n} is below --max-s {args.max_s}: "
+            f"curves s > {args.max_n} would get no row"
+        )
     rows = []
 
     def check(name, s, n, p, expected, values):

@@ -84,13 +84,10 @@ def hilbert_profile(
     profile would present unproven cohomology as fact, so the call is refused
     instead.
 
-    beta is derived from the hypersurface degree, so a surface built from raw
-    numerics is refused.  The twists n_min..n_max follow ``twist_range``:
-    nonempty and at most MAX_TWIST_ROWS of them.
+    beta is derived from the hypersurface degree.  The twists n_min..n_max
+    follow ``twist_range``: nonempty and at most MAX_TWIST_ROWS of them.
     """
     twists = twist_range(n_min, n_max)
-    if surface.delta is None:
-        raise PreconditionError("the Hilbert profile needs a hypersurface, got no degree delta")
     beta = beta_for_hypersurface(surface.delta)
     bound = gamma(surface, beta)
     if c2 <= bound:

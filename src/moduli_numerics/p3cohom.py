@@ -14,24 +14,11 @@ from typing import NamedTuple
 from .arith import PreconditionError, binom_poly, binom_trunc
 
 
-class _FreeSheafSum(NamedTuple):
+class FreeSheafSum(NamedTuple):
+    """The free sum O(twist)^rank of one line bundle."""
+
     twist: int
     rank: int
-
-
-class FreeSheafSum(_FreeSheafSum):
-    """The free sum O(twist)^rank of one line bundle, rank >= 1.
-
-    Construction checks the rank; ``_replace`` and ``_make`` build the tuple
-    directly and skip the check.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, twist: int, rank: int) -> FreeSheafSum:
-        if rank < 1:
-            raise PreconditionError(f"rank must be >= 1, got {rank} for twist {twist}")
-        return super().__new__(cls, twist, rank)
 
 
 def h_line(i: int, n: int) -> int:

@@ -1,11 +1,9 @@
 """Polarized-surface numerics: Hilbert polynomial, expected dimension, chi(E(n)).
 
 A surface enters only through three integers: the self-intersection of the
-polarization, the canonical twist k with K_X = O_X(k), and chi(O_X).  Smooth
-hypersurfaces of degree delta in P^3 are the shipped constructor.  A raw
-triple, for any surface with K_X a multiple of the polarization, serves
-chi(O_X(n)), the expected dimension and chi(E(n)); the natural-cohomology
-profile needs a hypersurface, since its twist bound beta comes from delta.
+polarization, the canonical twist k with K_X = O_X(k), and chi(O_X).  A
+smooth hypersurface of degree delta in P^3 has all three, and ``hypersurface``
+derives them and checks delta.
 """
 
 from __future__ import annotations
@@ -18,37 +16,13 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 
-class _SurfaceNumerics(NamedTuple):
+class SurfaceNumerics(NamedTuple):
+    """(H^2, canonical twist, chi(O_X)) of the degree-delta hypersurface."""
+
     h_square: int
     k: int
     chi0: int
-    delta: int | None = None
-
-
-class SurfaceNumerics(_SurfaceNumerics):
-    """(H^2, canonical twist, chi(O_X)); delta is set for hypersurfaces.
-
-    Construction checks the data; ``_replace`` and ``_make`` build the tuple
-    directly and skip the checks.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls, h_square: int, k: int, chi0: int, delta: int | None = None
-    ) -> SurfaceNumerics:
-        if h_square < 1:
-            raise PreconditionError(
-                f"polarization self-intersection must be >= 1, got {h_square}"
-            )
-        # Adjunction parity: H^2 * (k + 1) even, exactly what makes the
-        # Riemann-Roch value chi0 + H^2 * n(n-k)/2 an integer for every n.
-        if (h_square * (k + 1)) % 2 != 0:
-            raise PreconditionError(
-                f"inconsistent surface data: h_square={h_square}, k={k} "
-                "violate adjunction parity"
-            )
-        return super().__new__(cls, h_square, k, chi0, delta)
+    delta: int
 
 
 def check_degree(delta: int) -> None:

@@ -238,8 +238,10 @@ def test_library_input_checks_exit_3(capsys, argv, message):
          "--seed values must be distinct, got [1, 1, 2]"),
         # With primes [101, 101] every row would be printed twice.
         (["--prime", "101", "--prime", "101"], "--prime values must be distinct, got [101, 101]"),
+        # Curve s gets rows only from n = s, so curve 1 would get none.
+        (["--max-n", "0"], "--max-n 0 is below --max-s 1: curves s > 0 would get no row"),
     ],
-    ids=["seed", "prime"],
+    ids=["seed", "prime", "max-n"],
 )
 def test_verify_refuses_a_repeated_seed(capsys, monkeypatch, options, message):
     monkeypatch.setattr("moduli_numerics.oracle.h0_ideal_oracle", None)  # no rank is measured

@@ -56,6 +56,7 @@ JSON_CALLS = [
     ["verify", "--max-s", "6", "--prime", "2"],
     ["verify", "--max-s", "1", "--prime", "101", "--prime", "101"],
     ["verify", "--max-s", "16"],
+    ["verify", "--max-s", "3", "--max-n", "2"],
 ]
 CASES = {
     "_".join(a.lstrip("-") for a in argv): argv

@@ -14,7 +14,7 @@ from moduli_numerics.natcohom import (
     hilbert_profile,
     natural_cohomology_threshold,
 )
-from moduli_numerics.surfaces import SurfaceNumerics, chi_E, chi_OX, hypersurface
+from moduli_numerics.surfaces import chi_E, chi_OX, hypersurface
 
 
 def test_beta_examples():
@@ -121,13 +121,6 @@ def test_profile_duality_for_trivial_canonical():
     for n in range(-8, 9):
         row, mirror = by_n[n], by_n[-n]
         assert (row.h0, row.h1, row.h2) == (mirror.h2, mirror.h1, mirror.h0)
-
-
-def test_profile_refuses_raw_surfaces():
-    # beta is derived from the hypersurface degree, which a raw triple lacks.
-    surface = SurfaceNumerics(h_square=2, k=0, chi0=2)
-    with pytest.raises(PreconditionError, match="needs a hypersurface"):
-        hilbert_profile(surface, 1000, -2, 6)
 
 
 def test_profile_rejects_empty_range():

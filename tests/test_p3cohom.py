@@ -46,12 +46,6 @@ def test_free_sum_examples():
     assert h_free_sum(3, FreeSheafSum(-s - 1, s), s - 3) == 3
 
 
-@given(st.integers(-8, 8), st.integers(-4, 0))
-def test_multiplicity_validation(twist, rank):
-    with pytest.raises(ValueError, match=f"rank must be >= 1, got {rank}"):
-        FreeSheafSum(twist, rank)
-
-
 @given(st.integers(-8, 8), st.integers(1, 4), st.integers(-10, 10))
 def test_linearity_over_terms(twist, rank, n):
     sheaf = FreeSheafSum(twist, rank)

